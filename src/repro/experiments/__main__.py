@@ -177,6 +177,7 @@ def main(argv=None) -> int:
             start = time.time()
             result = ALL_EXPERIMENTS[name].run(seed=args.seed)
             result.print()
+            checked = bool(invariant_runtime.active_suites())
             violations = invariant_runtime.drain()
             if violations:
                 all_ok = False
@@ -187,8 +188,10 @@ def main(argv=None) -> int:
                     print(f"     {violation}")
                 if len(violations) > 10:
                     print(f"     ... and {len(violations) - 10} more")
-            else:
+            elif checked:
                 print("   invariants: all checkers clean")
+            else:
+                print("   invariants: no checkers installed")
             if args.faults is not None and not result.faults:
                 # The harness did not surface an injector summary itself;
                 # still label the run so it can't pass as a baseline.

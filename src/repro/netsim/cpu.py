@@ -9,6 +9,8 @@ read cluster idle-CPU exactly the way the paper does.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..metrics.timeline import UtilizationTracker
 from ..simkernel.core import Environment
 
@@ -48,7 +50,15 @@ class CpuCosts:
 
 
 class CpuModel:
-    """A host's CPU: ``cores`` parallel servers of ``speed`` units/sec."""
+    """A host's CPU: ``cores`` parallel servers of ``speed`` units/sec.
+
+    Cores are taken by counter: an uncontended charge costs exactly one
+    kernel event (its service timeout).  When every core is busy, a
+    charge parks on a grant event in a FIFO, and a finishing charge
+    hands its core straight to the head waiter — the grant order, grant
+    ticks and event order of a counted FIFO resource, minus the grant
+    event of every uncontended charge.
+    """
 
     def __init__(self, env: Environment, cores: int = 8, speed: float = 100.0,
                  tracker: UtilizationTracker | None = None,
@@ -58,7 +68,10 @@ class CpuModel:
         self.env = env
         self.cores = cores
         self.speed = speed
-        self.resource = env.make_resource(capacity=cores)
+        #: Cores held by running (or granted, not yet resumed) charges.
+        self.busy_cores = 0
+        #: Grant events of charges waiting for a core, in arrival order.
+        self._waiters: deque = deque()
         self.tracker = tracker or UtilizationTracker(
             bucket_width, capacity=cores)
         self.total_busy_seconds = 0.0
@@ -72,15 +85,42 @@ class CpuModel:
 
         Use as ``yield from cpu.execute(cost)`` inside a simulation
         process, or wrap with ``env.process`` for fire-and-forget work.
+        An interrupted charge books no busy time: a queued one leaves
+        the FIFO, a running one frees its core at the interrupt tick.
         """
         if work_units <= 0:
             return
-        with self.resource.request() as request:
-            yield request
-            start = self.env.now
-            yield self.env.timeout(work_units / self.speed)
-            self.tracker.add_busy(start, self.env.now)
-            self.total_busy_seconds += self.env.now - start
+        env = self.env
+        if self.busy_cores < self.cores:
+            self.busy_cores += 1
+        else:
+            grant = env.event()
+            self._waiters.append(grant)
+            try:
+                yield grant
+            except BaseException:
+                if grant.triggered:
+                    self._free_core()  # granted, but never started
+                else:
+                    self._waiters.remove(grant)
+                raise
+        start = env.now
+        try:
+            yield env.timeout(work_units / self.speed)
+        except BaseException:
+            self._free_core()
+            raise
+        end = env.now
+        self.tracker.add_busy(start, end)
+        self.total_busy_seconds += end - start
+        self._free_core()
+
+    def _free_core(self) -> None:
+        """Hand the core to the head waiter, or return it to the pool."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self.busy_cores -= 1
 
     def background(self, work_units: float) -> None:
         """Fire-and-forget CPU burn (e.g. cache priming of a new instance)."""

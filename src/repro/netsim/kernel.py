@@ -136,7 +136,7 @@ class Kernel:
 
         server_end = TcpEndpoint(self, flow.dst, flow.src, src_host.ip)
         TcpConnection(flow, client_end, server_end)
-        listener.accept_queue.put(server_end)
+        listener.accept_queue.put_nowait(server_end)
         self._c_accepted.inc()
         # Tagged by source so experiments can separate e.g. L4 health
         # probes from real connection-establishment storms.
@@ -218,7 +218,7 @@ class Kernel:
             self._c_udp_closed.inc()
             return
         self._c_udp_delivered.inc()
-        sock.inbox.put(datagram)
+        sock.inbox.put_nowait(datagram)
 
 
 def _fail_refused(result: Event) -> None:

@@ -196,7 +196,7 @@ class TcpEndpoint:
                 self.reset = True
             elif item.kind == ControlType.FIN:
                 self.fin_received = True
-            self.inbox.put(item)
+            self.inbox.put_nowait(item)
             return
         if self.closed or (self.owner is not None and not self.owner.alive):
             # Data for a dead endpoint: answer with RST.
@@ -205,7 +205,7 @@ class TcpEndpoint:
                 self.kernel.transmit_stream(
                     self, StreamControl(ControlType.RST), control=True)
             return
-        self.inbox.put(item)
+        self.inbox.put_nowait(item)
 
     def _detach(self) -> None:
         if self.owner is not None:

@@ -88,7 +88,7 @@ class UnixChannelEnd:
         message = UnixMessage(payload=payload, descriptions=descriptions)
         peer = self.peer
         timeout = self.host.env.timeout(LOCAL_IPC_DELAY)
-        timeout.callbacks.append(lambda _ev: peer.inbox.put(message))
+        timeout.callbacks.append(lambda _ev: peer.inbox.put_nowait(message))
 
     def recv(self) -> Event:
         """``recvmsg``: event yielding ``(payload, [new_fds])``.
@@ -152,7 +152,7 @@ def unix_connect(host: "Host", process: "SimProcess", path: str) -> Event:
     server_end.peer = client_end
 
     def _deliver(_ev) -> None:
-        listener.accept_queue.put(server_end)
+        listener.accept_queue.put_nowait(server_end)
         result.succeed(client_end)
 
     timeout = host.env.timeout(LOCAL_IPC_DELAY)

@@ -17,6 +17,7 @@ artifact upload.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -33,6 +34,10 @@ REGRESSION_TOLERANCE = 0.8
 
 def run_scenario(scenario: Scenario, mode: str) -> BenchResult:
     scale = scenario.quick_scale if mode == "quick" else scenario.full_scale
+    # Sweep the previous scenario's cyclic garbage (a dead deployment is
+    # one big cycle) first, so it is not billed to this scenario's arm
+    # that happens to cross the next full-collection threshold.
+    gc.collect()
     opt = measure(lambda: scenario.fn(LiveEnvironment, scale),
                   repeat=scenario.repeat)
     ref = None

@@ -100,7 +100,7 @@ class H2Stream:
             self.reset = True
         if frame.end_stream:
             self.remote_closed = True
-        self.inbox.put(frame)
+        self.inbox.put_nowait(frame)
 
 
 class H2Connection:
@@ -213,7 +213,7 @@ class H2Connection:
                     self._highest_peer_stream = max(
                         self._highest_peer_stream, frame.stream_id)
                     stream._deliver(frame)
-                    self.incoming.put(stream)
+                    self.incoming.put_nowait(stream)
                     continue
                 # Frame for a forgotten local stream: drop.
                 continue
@@ -228,7 +228,7 @@ class H2Connection:
         for stream in self.streams.values():
             if not stream.closed:
                 stream.reset = True
-                stream.inbox.put(H2Frame(
+                stream.inbox.put_nowait(H2Frame(
                     stream_id=stream.id, type=FrameType.RST_STREAM, size=0))
         if not self.closed_event.triggered:
             self.closed_event.succeed()

@@ -29,6 +29,11 @@ environment):
   kernel's monotonic append fast path, which is only valid if the
   environment tracks the largest key ever pushed.  The reference
   scheduler itself still always uses :func:`heapq.heappush`.
+
+One API addition rides along: :meth:`Store.put_nowait`, in its plain
+append-then-trigger form, so shared code that stores items without a
+put event runs on both kernels and the differentials still compare the
+event count exactly.
 """
 
 from __future__ import annotations
@@ -598,6 +603,15 @@ class Store:
     def put(self, item: Any) -> StorePutEvent:
         """Queue ``item`` for storage; returns an event."""
         return StorePutEvent(self, item)
+
+    def put_nowait(self, item: Any) -> None:
+        """Store ``item`` without a put event (falls back to :meth:`put`
+        while the store is full or puts are queued)."""
+        if self._put_queue or len(self.items) >= self.capacity:
+            self.put(item)
+            return
+        self.items.append(item)
+        self._trigger()
 
     def get(self) -> StoreGetEvent:
         """Request the next item; returns an event."""

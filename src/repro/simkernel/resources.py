@@ -6,7 +6,7 @@ These cover all the coordination patterns the network simulation needs:
   queues, accept queues, message mailboxes).
 * :class:`FilterStore` — a store whose consumers can wait for items
   matching a predicate (e.g. a specific connection's packets).
-* :class:`Resource` — a counted resource with FIFO waiters (CPU cores).
+* :class:`Resource` — a counted resource with FIFO waiters (worker slots).
 * :class:`Container` — a continuous quantity (memory bytes).
 
 Fast path
@@ -129,6 +129,22 @@ class Store:
         """Queue ``item`` for storage; returns an event."""
         return StorePutEvent(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Store ``item`` for a producer that never waits on the put.
+
+        Same outcome and same order of every other event as an ignored
+        :meth:`put`, minus the put's own event.  A full bounded store,
+        or one with puts already queued, falls back to :meth:`put` so
+        the item waits its turn.
+        """
+        items = self.items
+        if self._put_queue or len(items) >= self.capacity:
+            self.put(item)
+            return
+        items.append(item)
+        if self._get_queue:
+            self._trigger()
+
     def get(self) -> StoreGetEvent:
         """Request the next item; returns an event."""
         return StoreGetEvent(self)
@@ -202,7 +218,7 @@ class ResourceRequest(Event):
 
     Usable as a context manager inside a process::
 
-        with cpu.request() as req:
+        with slots.request() as req:
             yield req
             yield env.timeout(work)
     """
@@ -244,7 +260,7 @@ class ResourceRequest(Event):
 
 
 class Resource:
-    """A counted resource (e.g. CPU cores) with FIFO waiters."""
+    """A counted resource (e.g. worker slots) with FIFO waiters."""
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity <= 0:

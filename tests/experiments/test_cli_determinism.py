@@ -47,3 +47,17 @@ def test_cli_output_is_not_vacuous(capsys):
     _, out = _run_cli(["opsloop", "--no-plots"], capsys)
     assert "== " in out and " = " in out, "no result rows printed"
     assert _WALL.search(out) is None, "wall-time line survived stripping"
+
+
+@pytest.mark.parametrize("figure, line", [
+    ("fig09", "invariants: all checkers clean"),
+    # Analytic figure: no deployment, so no suite to vouch for it.
+    ("fig02", "invariants: no checkers installed"),
+])
+def test_cli_invariant_line_says_whether_checkers_ran(figure, line, capsys):
+    code, out = _run_cli([figure, "--no-plots"], capsys)
+    assert code == 0
+    assert line in out
+    other = ({"invariants: all checkers clean",
+              "invariants: no checkers installed"} - {line}).pop()
+    assert other not in out

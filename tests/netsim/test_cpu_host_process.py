@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.netsim import CpuCosts, CpuModel, ProcessDeadError
+from repro.netsim import (
+    CpuCosts,
+    CpuModel,
+    Endpoint,
+    ProcessDeadError,
+    StreamMessage,
+)
 from repro.simkernel import Environment
 
 
@@ -81,6 +87,138 @@ def test_cpu_validation():
         CpuModel(env, cores=0)
     with pytest.raises(ValueError):
         CpuModel(env, cores=1, speed=0)
+
+
+def test_cpu_grants_cores_in_fifo_order_under_contention():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+
+    def worker(label, arrive, work):
+        yield env.timeout(arrive)
+        yield from cpu.execute(work)
+        done.append((label, env.now))
+
+    # b and c queue behind a; c's shorter charge does not jump b.
+    env.process(worker("a", 0.0, 2.0))
+    env.process(worker("b", 0.5, 3.0))
+    env.process(worker("c", 1.0, 1.0))
+    env.process(worker("d", 6.5, 1.0))  # arrives to an idle core
+    env.run()
+    assert done == [("a", 2.0), ("b", 5.0), ("c", 6.0), ("d", 7.5)]
+    assert cpu.busy_cores == 0
+    assert cpu.total_busy_seconds == pytest.approx(7.0)
+
+
+def _interrupt_at(env, proc, at):
+    def interrupter():
+        yield env.timeout(at)
+        proc.interrupt("stop")
+    env.process(interrupter())
+
+
+def test_cpu_interrupted_queued_charge_leaves_the_fifo():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+
+    def worker(label, work):
+        yield from cpu.execute(work)
+        done.append((label, env.now))
+
+    env.process(worker("a", 1.0))
+    queued = env.process(worker("b", 5.0))
+    env.process(worker("c", 1.0))
+    _interrupt_at(env, queued, 0.5)
+    env.run()
+    assert done == [("a", 1.0), ("c", 2.0)]
+    assert cpu.total_busy_seconds == pytest.approx(2.0)
+    assert cpu.busy_cores == 0
+
+
+def test_cpu_interrupted_running_charge_frees_its_core_at_the_tick():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0, bucket_width=1.0)
+    done = []
+
+    def worker(label, work):
+        yield from cpu.execute(work)
+        done.append((label, env.now))
+
+    running = env.process(worker("a", 2.0))
+    env.process(worker("b", 1.0))
+    _interrupt_at(env, running, 0.5)
+    env.run()
+    # b takes the core at the interrupt tick, not at a's would-be end.
+    assert done == [("b", 1.5)]
+    # a books no busy time: only b's [0.5, 1.5) is on the books.
+    assert cpu.total_busy_seconds == pytest.approx(1.0)
+    assert dict(cpu.utilization(0, 2)) == pytest.approx({0.0: 0.5, 1.0: 0.5})
+    assert cpu.busy_cores == 0
+
+
+def test_cpu_interrupt_after_grant_before_resume_passes_the_core_on():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+
+    def worker(label, work):
+        yield from cpu.execute(work)
+        done.append((label, env.now))
+
+    env.process(worker("a", 1.0))
+    granted = env.process(worker("b", 1.0))
+    env.process(worker("c", 1.0))
+    # a's finish at t=1 grants b; the interrupt lands on the same tick,
+    # before b resumes, so the core must move on to c at once.
+    _interrupt_at(env, granted, 1.0)
+    env.run()
+    assert done == [("a", 1.0), ("c", 2.0)]
+    assert cpu.total_busy_seconds == pytest.approx(2.0)
+    assert cpu.busy_cores == 0
+
+
+def test_cpu_charge_on_an_idle_core_schedules_one_event():
+    env = Environment()
+    cpu = CpuModel(env, cores=2, speed=1.0)
+    spent = []
+
+    def worker():
+        before = env._eid
+        yield from cpu.execute(1.0)
+        spent.append(env._eid - before)
+
+    env.process(worker())
+    env.run()
+    assert spent == [1]  # the service timeout, and nothing else
+
+
+def test_socket_delivery_schedules_only_the_readers_wake_up(world):
+    server_host = world.host("server")
+    client_host = world.host("client")
+    server_proc = server_host.spawn("srv")
+    client_proc = client_host.spawn("cli")
+    endpoint = Endpoint(server_host.ip, 443)
+    _, listener = server_host.kernel.tcp_listen(server_proc, endpoint)
+    accepted, got = [], []
+
+    def server():
+        conn = yield listener.accept(server_proc)
+        accepted.append(conn)
+        message = yield conn.recv()
+        got.append(message.payload)
+
+    def client():
+        yield client_host.kernel.tcp_connect(client_proc, endpoint)
+
+    server_proc.run(server())
+    client_proc.run(client())
+    world.env.run(until=1)
+    before = world.env._eid
+    accepted[0].deliver(StreamMessage(payload="hello", size=10))
+    assert world.env._eid - before == 1
+    world.env.run(until=2)
+    assert got == ["hello"]
 
 
 def test_cpu_costs_defaults_sane():

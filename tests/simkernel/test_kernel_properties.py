@@ -13,7 +13,10 @@ optimization touched:
   (the two-lane order-preservation argument, exercised directly);
 * yielding an already-processed event (the ``_resume`` immediate-loop
   fast path);
-* conditions over failing children (defusal and late-loser handling).
+* conditions over failing children (defusal and late-loser handling);
+* stores driven by event-free ``put_nowait`` producers mixed with
+  blocking puts, plain and filtered gets, cancelled getters and
+  ``try_get``, on bounded (full) and unbounded stores.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -205,6 +208,62 @@ def test_condition_over_failing_children(children, kind):
         env.process(waiter())
         env.run()
         log.append(("eid", env._eid, env.now))
+        return log
+
+    differential(build)
+
+
+@SETTINGS
+@given(
+    capacity=st.sampled_from([1, 2, None]),
+    filtered=st.booleans(),
+    ops=st.lists(st.tuples(
+        st.sampled_from(["put", "put_nowait", "get", "get_cancel",
+                         "try_get"]),
+        st.integers(0, 4)), min_size=1, max_size=14),
+)
+def test_store_put_nowait_programs(capacity, filtered, ops):
+    """``put_nowait`` must leave the store and every other event exactly
+    as an ignored ``put`` would, minus the put event, on both kernels:
+    the total event count is part of the compared log."""
+
+    def build(env_cls):
+        env = env_cls()
+        make = env.make_filter_store if filtered else env.make_store
+        store = make(capacity or float("inf"))
+        log = []
+
+        def get_for(i):
+            if filtered:
+                return store.get(lambda item, parity=i % 2:
+                                 item % 2 == parity)
+            return store.get()
+
+        def op(i, kind, tick):
+            yield env.timeout(tick / 1000.0)
+            if kind == "put":
+                yield store.put(i)  # a producer that waits for room
+                log.append(("put", i, env.now))
+            elif kind == "put_nowait":
+                store.put_nowait(i)
+                log.append(("put_nowait", i, env.now, list(store.items)))
+            elif kind == "get":
+                log.append(("got", i, (yield get_for(i)), env.now))
+            elif kind == "get_cancel":
+                get = get_for(i)
+                yield env.timeout(0.0015)
+                if get.triggered:
+                    log.append(("got", i, (yield get), env.now))
+                else:
+                    get.cancel()
+                    log.append(("cancelled", i, env.now))
+            else:
+                log.append(("try_get", i, store.try_get(), env.now))
+
+        for i, (kind, tick) in enumerate(ops):
+            env.process(op(i, kind, tick))
+        env.run()
+        log.append(("end", list(store.items), env._eid, env.now))
         return log
 
     differential(build)
