@@ -1,8 +1,6 @@
 """Deployment building: specs and the end-to-end topology of Figure 1."""
 
 from .deployment import Deployment
-from .global_deployment import EdgePoP, GlobalDeployment, GlobalSpec
 from .spec import DeploymentSpec
 
-__all__ = ["Deployment", "DeploymentSpec", "EdgePoP", "GlobalDeployment",
-           "GlobalSpec"]
+__all__ = ["Deployment", "DeploymentSpec"]

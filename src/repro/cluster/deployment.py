@@ -8,7 +8,6 @@ forwards to HHVM app servers and MQTT brokers.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from ..appserver.brokers import MqttBroker
@@ -18,20 +17,14 @@ from ..appserver.pool import AppServerPool
 from ..clients.mqtt import MqttClientPopulation
 from ..clients.quic import QuicClientPopulation
 from ..clients.web import WebClientPopulation
-from ..cohorts import (
-    CohortDriver,
-    CohortSet,
-    ambient_cohorts,
-    compile_cohorts,
-)
-from ..faults.injector import FaultInjector, ambient_plan
+from ..cohorts import CohortDriver, CohortSet, compile_cohorts
+from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..lb.consistent_hash import ConsistentHashRing
 from ..lb.katran import Katran
-from ..lb.routers import ambient_lb_scheme
 from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, Protocol, VIP
-from ..ops.load import LoadController, LoadShape, ambient_load_shape
+from ..ops.load import LoadController, LoadShape
 from ..netsim.host import Host
 from ..netsim.network import (
     EDGE_ORIGIN,
@@ -41,12 +34,12 @@ from ..netsim.network import (
 )
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
-from ..resilience.config import ambient_resilience
 from ..resilience.health import OutlierTracker
+from ..run_context import knob, resolved_katran_config, with_resilience
 from ..simkernel.core import Environment
 from ..simkernel.events import AllOf
 from ..simkernel.rng import RandomStreams
-from ..splice import SpliceGovernor, ambient_splice
+from ..splice import SpliceGovernor
 from .spec import DeploymentSpec
 
 __all__ = ["Deployment"]
@@ -60,8 +53,8 @@ class Deployment:
                  fault_plan: Optional[FaultPlan] = None):
         self.spec = spec
         self.env = env or Environment()
-        #: Explicit plan, else the ambient one (set by the CLI's
-        #: ``--faults``); attached when the deployment starts.
+        #: Explicit plan, else the run's ``--faults`` (repro.run_context);
+        #: attached when the deployment starts.
         self._fault_plan = fault_plan
         self.fault_injector: Optional[FaultInjector] = None
         #: Set by repro.invariants when a suite attaches to us.
@@ -69,10 +62,10 @@ class Deployment:
         self.streams = RandomStreams(spec.seed)
         self.metrics = MetricsRegistry(bucket_width=spec.bucket_width)
         #: Splice fast path (repro.splice): explicit spec config, else
-        #: the ambient one (the CLI's ``--splice``); None leaves every
-        #: layer on per-chunk fidelity.
+        #: the run's ``--splice``; None leaves every layer on per-chunk
+        #: fidelity.
         self.splice: Optional[SpliceGovernor] = None
-        splice_config = spec.splice or ambient_splice()
+        splice_config = knob("splice", spec.splice)
         if splice_config is not None and splice_config.enabled:
             self.splice = SpliceGovernor(self.env, splice_config)
             self.splice.attach(self)
@@ -106,7 +99,7 @@ class Deployment:
         self.mqtt_clients: Optional[MqttClientPopulation] = None
         self.quic_clients: Optional[QuicClientPopulation] = None
         #: Cohort client layer (repro.cohorts): set when the spec (or
-        #: the ambient ``--cohorts`` policy) enables it, in which case
+        #: the run's ``--cohorts`` policy) enables it, in which case
         #: the three population attributes above stay None and lanes
         #: are reached through ``web_populations`` etc.
         self.cohort_set: Optional[CohortSet] = None
@@ -138,22 +131,7 @@ class Deployment:
 
     def _build(self) -> None:
         spec = self.spec
-        # The CLI's ``--resilience`` (like ``--faults``) applies to every
-        # deployment built while it is set; never mutate the spec's own
-        # config objects — they may be shared across experiment arms.
-        ambient = ambient_resilience()
-
-        def with_ambient(config):
-            if ambient is None:
-                return config
-            return replace(config, resilience=ambient)
-
-        # Same rule for the CLI's ``--lb-scheme``: override via replace(),
-        # never by mutating the spec's KatranConfig.
-        katran_config = spec.resolved_katran_config()
-        scheme = ambient_lb_scheme()
-        if scheme is not None and katran_config.lb_scheme != scheme:
-            katran_config = replace(katran_config, lb_scheme=scheme)
+        katran_config = resolved_katran_config(spec)
 
         # Brokers and app servers (Origin DC).
         for i in range(spec.brokers):
@@ -163,9 +141,7 @@ class Deployment:
             broker = MqttBroker(host, spec.broker_config)
             self.brokers.append(broker)
             self.broker_ring.add(host.ip)
-        app_config = spec.app_config
-        if ambient is not None:
-            app_config = with_ambient(app_config or AppServerConfig())
+        app_config = with_resilience(spec.app_config, AppServerConfig)
         #: Kept for dynamic scale-out (repro.ops.autoscale): servers
         #: added later must match the fleet they join.
         self._app_config = app_config
@@ -185,7 +161,7 @@ class Deployment:
             app_pool=self.app_pool,
             broker_ring=self.broker_ring,
             broker_port=spec.broker_port)
-        origin_config = with_ambient(spec.resolved_origin_config())
+        origin_config = with_resilience(spec.resolved_origin_config())
         if origin_config.resilience.enabled:
             # Passive health is a *balancer-wide* view: one tracker on
             # the shared pool, fed by every Origin proxy's outcomes.
@@ -198,7 +174,7 @@ class Deployment:
                               spec.proxy_cores, spec.proxy_core_speed)
             self.origin_hosts.append(host)
             self.origin_servers.append(ProxygenServer(
-                host, with_ambient(spec.resolved_origin_config()),
+                host, with_resilience(spec.resolved_origin_config()),
                 origin_context, vips=list(origin_vips)))
         origin_katran_host = self._host("origin-katran", "origin",
                                         spec.app_cores, spec.app_core_speed)
@@ -222,14 +198,14 @@ class Deployment:
         # Kept for dynamic scale-out of the edge tier.
         self._edge_context = edge_context
         self._edge_vips = edge_vips
-        self._edge_config = with_ambient(spec.resolved_edge_config())
+        self._edge_config = with_resilience(spec.resolved_edge_config())
         self._edge_serial = spec.edge_proxies
         for i in range(spec.edge_proxies):
             host = self._host(f"edge-proxy-{i}", "edge",
                               spec.proxy_cores, spec.proxy_core_speed)
             self.edge_hosts.append(host)
             self.edge_servers.append(ProxygenServer(
-                host, with_ambient(spec.resolved_edge_config()),
+                host, with_resilience(spec.resolved_edge_config()),
                 edge_context,
                 vips=[VIP(v.name, v.endpoint, v.protocol)
                       for v in edge_vips]))
@@ -240,11 +216,9 @@ class Deployment:
             config=katran_config, name="edge-katran",
             hc_vip=edge_https)
 
-        # Client populations.  The spec's cohort policy wins; the
-        # ambient one (the CLI's ``--cohorts``) applies otherwise.
-        cohort_policy = spec.cohorts
-        if cohort_policy is None:
-            cohort_policy = ambient_cohorts()
+        # Client populations.  The spec's cohort policy wins; the run's
+        # ``--cohorts`` applies otherwise.
+        cohort_policy = knob("cohorts", spec.cohorts)
         if cohort_policy is not None and not cohort_policy.enabled:
             cohort_policy = None
         edge_route = lambda flow: self.edge_katran.route(flow)  # noqa: E731
@@ -293,12 +267,10 @@ class Deployment:
             self.cohort_set = CohortSet(self, drivers, cohort_policy)
 
         # Load shape (repro.ops.load): the spec's own shape wins; the
-        # ambient one (the CLI's ``--load-shape``) applies otherwise.
-        # In cohort mode the controller drives the cohort drivers
-        # directly (each fans the scale into its lanes).
-        load_shape = spec.load_shape
-        if load_shape is None:
-            load_shape = ambient_load_shape()
+        # run's ``--load-shape`` applies otherwise.  In cohort mode the
+        # controller drives the cohort drivers directly (each fans the
+        # scale into its lanes).
+        load_shape = knob("load_shape", spec.load_shape)
         if load_shape is not None:
             targets = (list(self.cohort_set.drivers)
                        if self.cohort_set is not None
@@ -378,7 +350,7 @@ class Deployment:
     def start(self):
         """Kick off every component; returns the "infrastructure ready"
         process (clients start once it completes)."""
-        plan = self._fault_plan or ambient_plan()
+        plan = knob("faults", self._fault_plan)
         if plan is not None and self.fault_injector is None:
             self.fault_injector = FaultInjector(self, plan).attach()
         return self.env.process(self._startup())

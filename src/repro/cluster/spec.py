@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..appserver.brokers import BrokerConfig
@@ -62,21 +62,22 @@ class DeploymentSpec:
     broker_config: Optional[BrokerConfig] = None
     katran_config: Optional[KatranConfig] = None
     #: L4LB routing policy (repro.lb.routers.ROUTER_SCHEMES); None keeps
-    #: katran_config's own scheme (historically the LRU hybrid).
+    #: katran_config's own scheme, else the run's ``--lb-scheme``
+    #: (historically the LRU hybrid).
     lb_scheme: Optional[str] = None
     #: Client arrival-rate shape over the run (repro.ops.load); None
-    #: keeps the historical constant-rate behaviour (or the ambient
-    #: shape set by the CLI's ``--load-shape``).
+    #: keeps the historical constant-rate behaviour (or the run's
+    #: ``--load-shape``, see repro.run_context).
     load_shape: Optional[LoadShapeConfig] = None
     #: Cohort client layer (repro.cohorts); None keeps one SimProcess
-    #: per client (or applies the ambient policy set by the CLI's
-    #: ``--cohorts``).  With a policy, each client host's workload
-    #: becomes one cohort scoped under ``<population>/c<i>``.
+    #: per client (or applies the run's ``--cohorts`` policy).  With a
+    #: policy, each client host's workload becomes one cohort scoped
+    #: under ``<population>/c<i>``.
     cohorts: Optional[CohortPolicy] = None
     #: Splice fast path (repro.splice); None keeps per-chunk fidelity
-    #: everywhere (or applies the ambient config set by the CLI's
-    #: ``--splice``).  With a config, established bulk transfers and
-    #: tunnel relays collapse to bulk events outside mechanism windows.
+    #: everywhere (or applies the run's ``--splice``).  With a config,
+    #: established bulk transfers and tunnel relays collapse to bulk
+    #: events outside mechanism windows.
     splice: Optional[SpliceConfig] = None
 
     # Workloads (None → population not started)
@@ -88,10 +89,7 @@ class DeploymentSpec:
         default_factory=QuicWorkloadConfig)
 
     def resolved_katran_config(self) -> KatranConfig:
-        config = self.katran_config or KatranConfig()
-        if self.lb_scheme is not None and config.lb_scheme != self.lb_scheme:
-            config = replace(config, lb_scheme=self.lb_scheme)
-        return config
+        return self.katran_config or KatranConfig()
 
     def resolved_edge_config(self) -> ProxygenConfig:
         if self.edge_config is not None:

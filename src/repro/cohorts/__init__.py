@@ -12,18 +12,10 @@ fidelity ladder.
 
 from .aggregate import CohortAggregate, expand, fold, modeled
 from .drivers import CohortDriver, CohortSet
-from .spec import (
-    COHORT_FIDELITIES,
-    CohortPolicy,
-    CohortSpec,
-    ambient_cohorts,
-    clear_ambient_cohorts,
-    compile_cohorts,
-    set_ambient_cohorts,
-)
+from .spec import COHORT_FIDELITIES, CohortPolicy, CohortSpec, compile_cohorts
 
 __all__ = [
     "COHORT_FIDELITIES", "CohortAggregate", "CohortDriver", "CohortPolicy",
-    "CohortSet", "CohortSpec", "ambient_cohorts", "clear_ambient_cohorts",
-    "compile_cohorts", "expand", "fold", "modeled", "set_ambient_cohorts",
+    "CohortSet", "CohortSpec", "compile_cohorts", "expand", "fold",
+    "modeled",
 ]

@@ -12,6 +12,11 @@ plots, plus the PASS/FAIL state of every shape claim.  ``--faults PLAN``
 reruns the figure under a named fault plan (see ``repro.faults``): every
 deployment the harness builds gets the plan attached, and the faults
 summary is printed with the results.
+
+The knob flags become one :class:`repro.run_context.RunContext` for the
+whole invocation.  A flag that reached no deployment in a figure is
+named under that figure's results, and one that reached none at all
+makes the run exit 2: it would otherwise silently do nothing.
 """
 
 from __future__ import annotations
@@ -20,23 +25,18 @@ import argparse
 import sys
 import time
 
-from ..cohorts import COHORT_FIDELITIES, CohortPolicy, \
-    clear_ambient_cohorts, set_ambient_cohorts
-from ..faults import BUILTIN_PLANS, builtin_plan, clear_ambient_plan, \
-    set_ambient_plan
+from ..cohorts import COHORT_FIDELITIES, CohortPolicy
+from ..faults import BUILTIN_PLANS, builtin_plan
 from ..invariants import runtime as invariant_runtime
-from ..lb.routers import ROUTER_SCHEMES, clear_ambient_lb_scheme, \
-    set_ambient_lb_scheme
+from ..lb.routers import ROUTER_SCHEMES
 from ..metrics.report import render_faults, render_series
 from ..ops import CanaryConfig, CanaryController, LOAD_SHAPE_KINDS, \
-    clear_ambient_load_shape, named_load_shape, set_ambient_load_shape
-from ..release.orchestrator import clear_ambient_release_gate, \
-    set_ambient_release_gate
-from ..resilience import ResilienceConfig, clear_ambient_resilience, \
-    set_ambient_resilience
-from ..shard import clear_ambient_shards, set_ambient_shards
-from ..splice import SpliceConfig, clear_ambient_splice, set_ambient_splice
+    named_load_shape
+from ..resilience import ResilienceConfig
+from ..run_context import KNOB_FLAGS, RunContext, run_context
+from ..splice import SpliceConfig
 from ..trace import runtime as trace_runtime
+from ..trace.collector import TraceConfig
 from ..trace.render import render_trace_report
 from . import ALL_EXPERIMENTS
 
@@ -115,51 +115,29 @@ def main(argv=None) -> int:
             print(f"{key:18s} {description}")
         return 0
 
-    if args.faults is not None:
-        try:
-            plan = builtin_plan(args.faults, at=args.faults_at,
-                                duration=args.faults_duration)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        set_ambient_plan(plan)
-
-    if args.resilience:
-        set_ambient_resilience(ResilienceConfig(enabled=True))
-
-    if args.lb_scheme is not None:
-        set_ambient_lb_scheme(args.lb_scheme)
-
-    if args.load_shape is not None:
-        set_ambient_load_shape(
-            named_load_shape(args.load_shape, args.load_horizon))
-
-    if args.cohorts is not None:
-        try:
-            set_ambient_cohorts(CohortPolicy(
-                fidelity=args.cohort_fidelity, scale=args.cohorts))
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.splice:
-        set_ambient_splice(SpliceConfig())
-
-    if args.shards is not None:
-        try:
-            set_ambient_shards(args.shards)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.canary:
-        set_ambient_release_gate(
-            lambda release: CanaryController(release.env, CanaryConfig()))
-
-    if args.trace:
-        trace_runtime.set_ambient_trace()
-    elif args.trace_json is not None:
+    if args.trace_json is not None and not args.trace:
         print("--trace-json requires --trace", file=sys.stderr)
+        return 2
+    try:
+        ctx = RunContext(
+            faults=(None if args.faults is None else builtin_plan(
+                args.faults, at=args.faults_at,
+                duration=args.faults_duration)),
+            resilience=(ResilienceConfig(enabled=True)
+                        if args.resilience else None),
+            lb_scheme=args.lb_scheme,
+            load_shape=(None if args.load_shape is None else
+                        named_load_shape(args.load_shape,
+                                         args.load_horizon)),
+            cohorts=(None if args.cohorts is None else CohortPolicy(
+                fidelity=args.cohort_fidelity, scale=args.cohorts)),
+            splice=SpliceConfig() if args.splice else None,
+            shards=args.shards,
+            release_gate=((lambda release: CanaryController(
+                release.env, CanaryConfig())) if args.canary else None),
+            trace=TraceConfig() if args.trace else None)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
 
     if args.figure == "all":
@@ -173,52 +151,63 @@ def main(argv=None) -> int:
 
     all_ok = True
     try:
-        for name in names:
-            start = time.time()
-            result = ALL_EXPERIMENTS[name].run(seed=args.seed)
-            result.print()
-            checked = bool(invariant_runtime.active_suites())
-            violations = invariant_runtime.drain()
-            if violations:
-                all_ok = False
-                broken = sorted({v.checker for v in violations})
-                print(f"   INVARIANT VIOLATIONS ({len(violations)}) "
-                      f"from checkers: {', '.join(broken)}")
-                for violation in violations[:10]:
-                    print(f"     {violation}")
-                if len(violations) > 10:
-                    print(f"     ... and {len(violations) - 10} more")
-            elif checked:
-                print("   invariants: all checkers clean")
-            else:
-                print("   invariants: no checkers installed")
-            if args.faults is not None and not result.faults:
-                # The harness did not surface an injector summary itself;
-                # still label the run so it can't pass as a baseline.
-                for row in render_faults({"plan": args.faults}):
-                    print("   " + row)
-            if args.trace:
-                _report_traces(name, args.trace_json,
-                               multiple=len(names) > 1)
-            if not args.no_plots:
-                for series_name, series in sorted(result.series.items()):
-                    print("   " + render_series(series_name, series,
-                                                width=56))
-            print(f"   ({time.time() - start:.1f}s wall)")
-            all_ok = all_ok and result.all_claims_hold
+        with run_context(ctx):
+            for name in names:
+                all_ok = _run_figure(name, args, ctx,
+                                     multiple=len(names) > 1) and all_ok
     finally:
-        clear_ambient_plan()
-        clear_ambient_resilience()
-        clear_ambient_lb_scheme()
-        clear_ambient_load_shape()
-        clear_ambient_cohorts()
-        clear_ambient_release_gate()
-        clear_ambient_splice()
-        clear_ambient_shards()
-        trace_runtime.clear_ambient_trace()
         trace_runtime.drain()
         invariant_runtime.drain()  # reset registry for in-process callers
+    unused = [KNOB_FLAGS[knob] for knob in ctx.set_knobs()
+              if not ctx.reads[knob]]
+    if unused:
+        print(f"{', '.join(unused)}: reached no deployment in "
+              f"{args.figure!r}; refusing to pass a run the flag did "
+              f"not touch", file=sys.stderr)
+        return 2
     return 0 if all_ok else 1
+
+
+def _run_figure(name: str, args, ctx: RunContext, multiple: bool) -> bool:
+    """Run and print one figure; True when its claims and invariants
+    hold."""
+    start = time.time()
+    reads_before = ctx.reads.copy()
+    result = ALL_EXPERIMENTS[name].run(seed=args.seed)
+    result.print()
+    ok = result.all_claims_hold
+    checked = bool(invariant_runtime.active_suites())
+    violations = invariant_runtime.drain()
+    if violations:
+        ok = False
+        broken = sorted({v.checker for v in violations})
+        print(f"   INVARIANT VIOLATIONS ({len(violations)}) "
+              f"from checkers: {', '.join(broken)}")
+        for violation in violations[:10]:
+            print(f"     {violation}")
+        if len(violations) > 10:
+            print(f"     ... and {len(violations) - 10} more")
+    elif checked:
+        print("   invariants: all checkers clean")
+    else:
+        print("   invariants: no checkers installed")
+    unread = [knob for knob in ctx.set_knobs()
+              if ctx.reads[knob] == reads_before[knob]]
+    for knob in unread:
+        print(f"   {KNOB_FLAGS[knob]}: reached no deployment")
+    if ctx.faults is not None and "faults" not in unread \
+            and not result.faults:
+        # The harness did not surface an injector summary itself;
+        # still label the run so it can't pass as a baseline.
+        for row in render_faults({"plan": args.faults}):
+            print("   " + row)
+    if args.trace:
+        _report_traces(name, args.trace_json, multiple=multiple)
+    if not args.no_plots:
+        for series_name, series in sorted(result.series.items()):
+            print("   " + render_series(series_name, series, width=56))
+    print(f"   ({time.time() - start:.1f}s wall)")
+    return ok
 
 
 def _report_traces(figure: str, json_path, multiple: bool) -> None:

@@ -86,10 +86,10 @@ def build_deployment(seed: int = 0,
     """A deployment sized for experiment runtime (seconds, not minutes).
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) attaches fault
-    injection for this run; without it, a plan set via
-    :func:`repro.faults.set_ambient_plan` (the CLI's ``--faults``) still
-    applies.  ``env`` swaps the simulation kernel (e.g. the frozen
-    reference kernel for differential testing and benchmarking).
+    injection for this run; without it, the run's ``--faults`` plan
+    (:mod:`repro.run_context`) still applies.  ``env`` swaps the
+    simulation kernel (e.g. the frozen reference kernel for
+    differential testing and benchmarking).
     """
     spec = DeploymentSpec(
         seed=seed,
@@ -111,8 +111,8 @@ def build_deployment(seed: int = 0,
     # Always-on invariant checking: every harness-built deployment runs
     # under the full checker suite (drained via invariant_runtime.drain()).
     invariant_runtime.install(deployment)
-    # Request tracing (the CLI's --trace): a no-op unless an ambient
-    # TraceConfig is set — must attach before start() so the instances'
+    # Request tracing (the CLI's --trace): a no-op unless the run sets
+    # a TraceConfig — must attach before start() so the instances'
     # bound tracer handles see the collector.
     trace_runtime.install(deployment)
     deployment.start()

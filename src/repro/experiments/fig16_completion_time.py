@@ -15,13 +15,15 @@ We reproduce the distribution two ways:
 
 from __future__ import annotations
 
-from ..appserver.config import AppServerConfig
+from ..clients.web import WebWorkloadConfig
 from ..metrics.quantiles import summarize
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..release.schedule import completion_time_model
+from ..simkernel.events import AllOf
 from ..simkernel.rng import RandomStreams
-from .common import ExperimentResult, build_deployment
+from .common import ExperimentResult, build_deployment, \
+    build_regional_deployment
 
 __all__ = ["run", "run_des_crosscheck"]
 
@@ -87,20 +89,21 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
     """A *global* roll-out as a real simulation: every PoP's fleet
     releases concurrently (the paper's world-wide push), each batch
     waiting out its drain.  Completion = slowest PoP."""
-    from ..cluster.global_deployment import GlobalDeployment, GlobalSpec
-    from ..clients.web import WebWorkloadConfig
-
-    dep = GlobalDeployment(GlobalSpec(
-        seed=seed, pops=pops, proxies_per_pop=proxies_per_pop,
+    dep = build_regional_deployment(
+        seed=seed, regions=1, pops_per_region=pops,
+        proxies_per_pop=proxies_per_pop, origin_proxies=3, app_servers=4,
+        mqtt_users_per_pop=0,
         edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
                                    spawn_delay=1.0),
         web_workload=WebWorkloadConfig(clients_per_host=6,
-                                       think_time=1.0)))
-    dep.start()
+                                       think_time=1.0))
     dep.run(until=15)
-    releases, done = dep.global_release(batch_fraction=0.25,
-                                        post_batch_wait=drain)
-    dep.env.run(until=done)
+    releases = [RollingRelease(
+        dep.env, pop.servers,
+        RollingReleaseConfig(batch_fraction=0.25, post_batch_wait=drain),
+        name=f"release-{pop.name}") for pop in dep.regions[0].pops]
+    dep.env.run(until=AllOf(dep.env, [dep.env.process(r.execute())
+                                      for r in releases]))
     durations = [r.duration for r in releases]
     global_duration = (max(r.finished_at for r in releases)
                        - min(r.started_at for r in releases))

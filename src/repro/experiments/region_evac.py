@@ -18,19 +18,19 @@ and disasters exercise the *same* disruption-free machinery:
   strands them.  The off arm must do strictly worse, and the
   ``failover_route`` counters must fire only on the on arm.
 
-Under ``--faults`` (an ambient chaos plan) the comparative claims are
+Under ``--faults`` (a run-wide chaos plan) the comparative claims are
 relaxed to structural ones — chaos deliberately perturbs both arms.
 """
 
 from __future__ import annotations
 
 from ..clients.web import WebWorkloadConfig
-from ..faults import ambient_plan
 from ..faults.plan import FaultPlan, FaultSpec
 from ..lb.katran import KatranConfig
 from ..lb.routers import ROUTER_SCHEMES
 from ..proxygen.config import ProxygenConfig
 from ..regions import evacuate_region
+from ..run_context import current_run
 from .common import ExperimentResult, build_regional_deployment, \
     fault_summary
 
@@ -170,7 +170,7 @@ def _partition_arm(seed: int, failover: bool) -> dict:
 
 
 def run(seed: int = 0) -> ExperimentResult:
-    chaos = ambient_plan() is not None
+    chaos = current_run().faults is not None
     result = ExperimentResult(
         name="region_evac: evacuation under load + anycast failover",
         params={"seed": seed, "regions": 2, "event_at": EVENT_AT,
@@ -198,7 +198,7 @@ def run(seed: int = 0) -> ExperimentResult:
              and a["report"].sessions_transferred > 0)
         for a in evac_arms)
     if not chaos:
-        # An ambient chaos plan may black-hole the survivor itself.
+        # A --faults chaos plan may black-hole the survivor itself.
         result.claims["survivor_region_keeps_serving"] = all(
             a["survivor_served_after"] > 0 for a in evac_arms)
 
@@ -215,7 +215,7 @@ def run(seed: int = 0) -> ExperimentResult:
     result.claims["partition_drops_are_tagged"] = (
         on["tagged_drops"] > 0 and on["drop_causes"] > 0)
     # The partition arms attach an explicit plan (which supersedes any
-    # ambient chaos plan), so their comparative claims always hold.
+    # --faults chaos plan), so their comparative claims always hold.
     result.claims["failover_rerouting_only_when_enabled"] = (
         on["failover_routes"] > 0 and off["failover_routes"] == 0)
     result.claims["failover_serves_more_than_ablation"] = (

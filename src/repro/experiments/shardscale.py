@@ -21,10 +21,11 @@ either region fails the byte-diff.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
-from ..faults import ambient_plan, clear_ambient_plan, set_ambient_plan
 from ..regions import RegionalSpec
-from ..shard import ambient_shards, run_sharded
+from ..run_context import current_run, knob, run_context
+from ..shard import run_sharded
 from .common import ExperimentResult
 
 __all__ = ["run"]
@@ -56,8 +57,7 @@ def _digest(counters: dict) -> str:
 
 
 def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
-    if shards is None:
-        shards = ambient_shards() or 1
+    shards = knob("shards", shards) or 1
     spec = RegionalSpec(
         seed=seed,
         regions=REGIONS,
@@ -65,17 +65,12 @@ def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
         local_broker_homing=True,
         partition_network_rng=True,
     )
-    # Fault plans do not shard (run_sharded rejects ambient plans, so
-    # a `--faults` chaos sweep over `all` does not abort here); shelve
-    # any plan for the duration and label the skip.
-    plan = ambient_plan()
-    if plan is not None:
-        clear_ambient_plan()
-    try:
+    # Fault plans do not shard (run_sharded rejects a --faults plan, so
+    # a chaos sweep over `all` does not abort here); shelve the plan for
+    # the duration and label the skip.
+    plan = current_run().faults
+    with run_context(replace(current_run(), faults=None)):
         outcome = run_sharded(spec, until=HORIZON, shards=shards)
-    finally:
-        if plan is not None:
-            set_ambient_plan(plan)
     counters = outcome.counters
 
     result = ExperimentResult(

@@ -35,10 +35,7 @@ from .load import (
     LoadController,
     LoadShape,
     LoadShapeConfig,
-    ambient_load_shape,
-    clear_ambient_load_shape,
     named_load_shape,
-    set_ambient_load_shape,
 )
 from .scheduler import ReleaseWave, WavePlanConfig, plan_release_waves
 
@@ -47,7 +44,6 @@ __all__ = [
     "attach_app_autoscaler", "attach_edge_autoscaler",
     "CanaryConfig", "CanaryController", "judge_window",
     "LOAD_SHAPE_KINDS", "LoadController", "LoadShape", "LoadShapeConfig",
-    "ambient_load_shape", "clear_ambient_load_shape", "named_load_shape",
-    "set_ambient_load_shape",
+    "named_load_shape",
     "ReleaseWave", "WavePlanConfig", "plan_release_waves",
 ]

@@ -120,6 +120,8 @@ class RegionalSpec:
     partition_network_rng: bool = False
     anycast: AnycastConfig = field(default_factory=AnycastConfig)
     wan: WanConfig = field(default_factory=WanConfig)
+    #: L4LB routing policy (repro.lb.routers.ROUTER_SCHEMES); None keeps
+    #: katran_config's own scheme, else the run's ``--lb-scheme``.
     lb_scheme: Optional[str] = None
     load_shape: Optional[object] = None
     # -- per-tier configs (None = defaults) ------------------------------

@@ -21,7 +21,6 @@ re-homes sessions across regions.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from ..appserver.brokers import MqttBroker
@@ -30,12 +29,11 @@ from ..appserver.hhvm import AppServer
 from ..appserver.pool import AppServerPool
 from ..clients.mqtt import MqttClientPopulation
 from ..clients.web import WebClientPopulation
-from ..faults.injector import FaultInjector, ambient_plan
+from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..lb.consistent_hash import ConsistentHashRing
 from ..lb.ecmp import EcmpRouter
 from ..lb.katran import Katran
-from ..lb.routers import ambient_lb_scheme
 from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, Protocol, VIP
 from ..netsim.host import Host
@@ -46,11 +44,11 @@ from ..netsim.network import (
     LinkProfile,
     Network,
 )
-from ..ops.load import LoadController, LoadShape, ambient_load_shape
+from ..ops.load import LoadController, LoadShape
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
-from ..resilience.config import ambient_resilience
 from ..resilience.health import OutlierTracker
+from ..run_context import knob, resolved_katran_config, with_resilience
 from ..simkernel.core import Environment
 from ..simkernel.events import AllOf
 from ..simkernel.rng import RandomStreams
@@ -160,17 +158,7 @@ class RegionalDeployment:
     def _build(self) -> None:
         spec = self.spec
         wan = spec.wan
-        ambient = ambient_resilience()
-
-        def with_ambient(config):
-            if ambient is None:
-                return config
-            return replace(config, resilience=ambient)
-
-        katran_config = spec.resolved_katran_config()
-        scheme = ambient_lb_scheme()
-        if scheme is not None and katran_config.lb_scheme != scheme:
-            katran_config = replace(katran_config, lb_scheme=scheme)
+        katran_config = resolved_katran_config(spec)
 
         # Pass 1: every region's Origin DC (brokers, apps, proxies, LB).
         for r in range(spec.regions):
@@ -190,9 +178,7 @@ class RegionalDeployment:
                 self.broker_ring.add(host.ip)
                 if region_ring is not self.broker_ring:
                     region_ring.add(host.ip)
-            app_config = spec.app_config
-            if ambient is not None:
-                app_config = with_ambient(app_config or AppServerConfig())
+            app_config = with_resilience(spec.app_config, AppServerConfig)
             for i in range(spec.app_servers):
                 host = self._host(f"r{r}-appserver-{i}", region.origin_site,
                                   spec.app_cores, spec.app_core_speed)
@@ -204,7 +190,7 @@ class RegionalDeployment:
                 app_pool=region.app_pool,
                 broker_ring=region_ring,
                 broker_port=spec.broker_port)
-            origin_config = with_ambient(spec.resolved_origin_config())
+            origin_config = with_resilience(spec.resolved_origin_config())
             if origin_config.resilience.enabled:
                 region.app_pool.attach_health(OutlierTracker(
                     origin_config.resilience, self.env,
@@ -218,7 +204,7 @@ class RegionalDeployment:
                                   spec.proxy_cores, spec.proxy_core_speed)
                 region.origin_hosts.append(host)
                 region.origin_servers.append(ProxygenServer(
-                    host, with_ambient(spec.resolved_origin_config()),
+                    host, with_resilience(spec.resolved_origin_config()),
                     origin_context, vips=list(origin_vips)))
             katran_host = self._host(f"r{r}-origin-katran",
                                      region.origin_site,
@@ -285,7 +271,7 @@ class RegionalDeployment:
                                       spec.proxy_core_speed)
                     pop.hosts.append(host)
                     pop.servers.append(ProxygenServer(
-                        host, with_ambient(spec.resolved_edge_config()),
+                        host, with_resilience(spec.resolved_edge_config()),
                         edge_context,
                         vips=[VIP(v.name, v.endpoint, v.protocol)
                               for v in edge_vips]))
@@ -352,9 +338,7 @@ class RegionalDeployment:
                         first_user_id=self._next_user)
                     self._next_user += mqtt_workload.users_per_host
 
-        load_shape = spec.load_shape
-        if load_shape is None:
-            load_shape = ambient_load_shape()
+        load_shape = knob("load_shape", spec.load_shape)
         if load_shape is not None:
             self.load_controller = LoadController(
                 self.env, LoadShape(load_shape),
@@ -426,7 +410,7 @@ class RegionalDeployment:
         subset — a shard worker (repro.shard) builds the *full* topology
         (identical IPs, names and rings everywhere) but animates only
         its own regions."""
-        plan = self._fault_plan or ambient_plan()
+        plan = knob("faults", self._fault_plan)
         if plan is not None and self.fault_injector is None:
             self.fault_injector = FaultInjector(self, plan).attach()
         return self.env.process(self._startup(only_regions))

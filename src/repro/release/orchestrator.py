@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..run_context import knob
 from ..simkernel.core import Environment
 from ..simkernel.events import AllOf, Interrupt
 
 __all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig",
-           "add_release_observer", "remove_release_observer",
-           "set_ambient_release_gate", "clear_ambient_release_gate",
-           "ambient_release_gate"]
+           "add_release_observer", "remove_release_observer"]
 
 # Module-level observers, notified as ``cb(phase, release)`` with phase
 # in {"begin", "end"}.  Observers (the invariant suites) register here
@@ -50,27 +49,6 @@ def remove_release_observer(callback) -> None:
 def _notify(phase: str, release: "RollingRelease") -> None:
     for callback in list(_observers):
         callback(phase, release)
-
-
-# Ambient gate factory, the CLI's ``--canary`` hook: when set, every
-# release constructed without an explicit ``gate`` calls
-# ``factory(release)`` to build one at execute() time.  Lives here (not
-# in repro.ops) so the orchestrator never imports the control plane.
-_ambient_gate_factory = None
-
-
-def set_ambient_release_gate(factory) -> None:
-    global _ambient_gate_factory
-    _ambient_gate_factory = factory
-
-
-def clear_ambient_release_gate() -> None:
-    global _ambient_gate_factory
-    _ambient_gate_factory = None
-
-
-def ambient_release_gate():
-    return _ambient_gate_factory
 
 
 @dataclass
@@ -149,7 +127,8 @@ class RollingRelease:
         #: Release gate (e.g. repro.ops.canary.CanaryController): after
         #: each batch, ``gate.review(release, batch, record)`` runs as a
         #: sub-process and returns "proceed" or "abort".  None falls
-        #: back to the ambient factory (set_ambient_release_gate).
+        #: back to the run's ``--canary`` gate factory
+        #: (``RunContext.release_gate``), called at execute() time.
         self.gate = gate
         self.batches: list[BatchRecord] = []
         self.started_at: Optional[float] = None
@@ -192,8 +171,10 @@ class RollingRelease:
         self.started_at = self.env.now
         batch_size = config.batches(len(self.targets))
         gate = self.gate
-        if gate is None and _ambient_gate_factory is not None:
-            gate = _ambient_gate_factory(self)
+        if gate is None:
+            factory = knob("release_gate")
+            if factory is not None:
+                gate = factory(self)
         _notify("begin", self)
         try:
             # Walk the fleet in fixed order, batch_size at a time.

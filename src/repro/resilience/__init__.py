@@ -15,12 +15,7 @@ lints that no module here imports ``random`` directly).
 
 from .admission import AdmissionController
 from .breaker import BreakerBoard, CircuitBreaker
-from .config import (
-    ResilienceConfig,
-    ambient_resilience,
-    clear_ambient_resilience,
-    set_ambient_resilience,
-)
+from .config import ResilienceConfig
 from .health import BackendStats, OutlierTracker
 from .plane import ResiliencePlane
 from .retry import BackoffPolicy, RetryBudget
@@ -35,7 +30,4 @@ __all__ = [
     "ResilienceConfig",
     "ResiliencePlane",
     "RetryBudget",
-    "ambient_resilience",
-    "clear_ambient_resilience",
-    "set_ambient_resilience",
 ]

@@ -20,7 +20,7 @@ in parallel worker processes.  The runner here exploits that:
 
 What does **not** shard (yet): fault plans and release drivers — both
 are deployment-global mechanisms, so :func:`repro.shard.runner.run_sharded`
-rejects an ambient fault plan outright rather than let every worker
+rejects a run-wide ``--faults`` plan outright rather than let every worker
 inject the same fault once.
 """
 
@@ -28,30 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ShardPlan", "ShardResult", "ambient_shards",
-           "clear_ambient_shards", "counters_snapshot", "merge_counters",
-           "run_sharded", "set_ambient_shards"]
-
-#: Worker count requested by the experiments CLI (``--shards N``); the
-#: shard-aware harnesses read it via :func:`ambient_shards`.
-_ambient_shards = None
-
-
-def set_ambient_shards(shards: int) -> None:
-    if shards < 1:
-        raise ValueError("--shards must be >= 1")
-    global _ambient_shards
-    _ambient_shards = shards
-
-
-def ambient_shards():
-    """The CLI-requested worker count, or ``None`` when unset."""
-    return _ambient_shards
-
-
-def clear_ambient_shards() -> None:
-    global _ambient_shards
-    _ambient_shards = None
+__all__ = ["ShardPlan", "ShardResult", "counters_snapshot",
+           "merge_counters", "run_sharded"]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
-from ..faults.injector import ambient_plan
 from ..invariants import runtime as invariant_runtime
+from ..run_context import current_run
 from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
 
 __all__ = ["run_sharded"]
@@ -52,8 +52,13 @@ def _worker_main(pipe, spec, until: float, region_names: list,
         # a previous parent run registered (they belong to deployments
         # this worker never sees) before installing our own.
         invariant_runtime.drain()
-        pipe.send(("ok", _run_one(spec, until, region_names,
-                                  check_invariants)))
+        reads = current_run().reads
+        before = reads.copy()
+        report = _run_one(spec, until, region_names, check_invariants)
+        # Knob reads happen in this process; ship them home so the
+        # parent's run context sees which knobs the workers consumed.
+        report["reads"] = reads - before
+        pipe.send(("ok", report))
     except BaseException as exc:  # noqa: BLE001 - reported, then re-raised
         pipe.send(("error", f"{type(exc).__name__}: {exc}"))
         raise
@@ -72,13 +77,13 @@ def run_sharded(spec, until: float, shards: int = 1,
     bit-identical to the 1-shard run (``failover=False``,
     ``local_broker_homing=True``, ``partition_network_rng=True``, no
     load shape).  Fault plans do not shard — every worker would inject
-    the same plan once, so an ambient plan is rejected outright rather
-    than silently multiplied.
+    the same plan once, so a run-wide ``--faults`` plan is rejected
+    outright rather than silently multiplied.
     """
-    if ambient_plan() is not None:
+    if current_run().faults is not None:
         raise ValueError(
-            "fault plans do not shard: clear the ambient fault plan "
-            "before run_sharded()")
+            "fault plans do not shard: run_sharded() needs a run "
+            "context without --faults")
     plan = ShardPlan.for_spec(spec, shards)
     if shards == 1:
         report = _run_one(spec, until, None, check_invariants)
@@ -107,6 +112,7 @@ def run_sharded(spec, until: float, shards: int = 1,
             if status != "ok":
                 failures.append(f"shard {index}: {payload}")
             else:
+                current_run().reads.update(payload["reads"])
                 reports.append(payload)
         if failures:
             raise RuntimeError("; ".join(failures))

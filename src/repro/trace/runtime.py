@@ -1,7 +1,8 @@
 """Opt-in tracing for harness-built deployments.
 
-Mirrors :mod:`repro.invariants.runtime`: the CLI's ``--trace`` flag (and
-the fuzz runner) arm tracing *ambiently*, ``build_deployment`` calls
+Mirrors :mod:`repro.invariants.runtime`: the CLI's ``--trace`` flag arms
+tracing for the run (``RunContext.trace``, see :mod:`repro.run_context`),
+the fuzz runner passes its own config, ``build_deployment`` calls
 :func:`install` right after constructing a deployment, and the run's end
 calls :func:`drain` to collect every installed collector.
 
@@ -16,41 +17,24 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..release import orchestrator as release_orchestrator
+from ..run_context import knob
 from .collector import TraceCollector, TraceConfig
 
-__all__ = ["set_ambient_trace", "clear_ambient_trace", "ambient_trace",
-           "install", "uninstall", "drain"]
+__all__ = ["install", "uninstall", "drain"]
 
-_ambient: Optional[TraceConfig] = None
 _installed: list[tuple[TraceCollector, Callable]] = []
-
-
-def set_ambient_trace(config: Optional[TraceConfig] = None) -> None:
-    """Arm tracing for every deployment built until cleared (the CLI's
-    ``--trace``)."""
-    global _ambient
-    _ambient = config or TraceConfig()
-
-
-def clear_ambient_trace() -> None:
-    global _ambient
-    _ambient = None
-
-
-def ambient_trace() -> Optional[TraceConfig]:
-    return _ambient
 
 
 def install(deployment,
             config: Optional[TraceConfig] = None) -> Optional[TraceCollector]:
     """Attach a collector to ``deployment`` (no-op unless ``config`` is
-    given or ambient tracing is armed); registers it for :func:`drain`.
+    given or the run's ``--trace`` is on); registers it for :func:`drain`.
 
     The collector draws its ids from the deployment's seeded ``"trace"``
     stream and observes the release orchestrator so takeover/release
     phases land in the event log next to the spans they disrupt.
     """
-    config = config if config is not None else _ambient
+    config = knob("trace", config)
     if config is None or not config.enabled:
         return None
     if deployment.metrics.tracing is not None:

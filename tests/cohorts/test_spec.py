@@ -1,4 +1,4 @@
-"""CohortPolicy / CohortSpec: the ladder, compilation, ambient knob."""
+"""CohortPolicy / CohortSpec: the ladder, compilation, the --cohorts knob."""
 
 import pytest
 
@@ -8,11 +8,9 @@ from repro.cohorts import (
     COHORT_FIDELITIES,
     CohortPolicy,
     CohortSpec,
-    ambient_cohorts,
-    clear_ambient_cohorts,
     compile_cohorts,
-    set_ambient_cohorts,
 )
+from repro.run_context import RunContext, current_run, run_context
 
 
 # -- policy ------------------------------------------------------------------
@@ -81,19 +79,16 @@ def test_compile_cohorts_skips_empty_workloads():
     assert compile_cohorts(CohortPolicy(), "quic", 0, 3) == []
 
 
-# -- ambient knob (the CLI's --cohorts) --------------------------------------
+# -- the run's knob (the CLI's --cohorts) ------------------------------------
 
 
 def test_ambient_policy_applies_and_clears():
-    set_ambient_cohorts(CohortPolicy(scale=2))
-    try:
-        assert ambient_cohorts() == CohortPolicy(scale=2)
+    with run_context(RunContext(cohorts=CohortPolicy(scale=2))):
+        assert current_run().cohorts == CohortPolicy(scale=2)
         deployment = Deployment(DeploymentSpec(
             seed=0, quic_workload=None, quic_client_hosts=0))
         assert deployment.cohort_set is not None
-    finally:
-        clear_ambient_cohorts()
-    assert ambient_cohorts() is None
+    assert current_run().cohorts is None
     assert Deployment(DeploymentSpec(seed=1)).cohort_set is None
 
 

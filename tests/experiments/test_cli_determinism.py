@@ -13,12 +13,19 @@ wall-clock read); everything else must match byte for byte, including
 the sparkline-free rows, claim verdicts, and invariant summaries.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import main
 from repro.perf.differential import reset_id_allocators
+from repro.run_context import RunContext, current_run
 
 #: The deliberately-nondeterministic output: the wall-time footer.
 _WALL = re.compile(r"^\s*\(\d+\.\d+s wall\)\s*$", re.MULTILINE)
@@ -61,3 +68,55 @@ def test_cli_invariant_line_says_whether_checkers_ran(figure, line, capsys):
     other = ({"invariants: all checkers clean",
               "invariants: no checkers installed"} - {line}).pop()
     assert other not in out
+
+
+# -- run isolation: nothing a run sets outlives it ----------------------------
+
+
+class _ExplodingHarness:
+    """A figure module whose harness raises mid-run."""
+
+    seen = None
+
+    @classmethod
+    def run(cls, seed=0):
+        cls.seen = current_run()
+        raise RuntimeError("harness blew up")
+
+
+def test_raising_harness_leaves_the_default_run_context(monkeypatch):
+    monkeypatch.setitem(ALL_EXPERIMENTS, "boom", _ExplodingHarness)
+    with pytest.raises(RuntimeError, match="blew up"):
+        main(["boom", "--lb-scheme", "stateless", "--faults",
+              "hc-flap-storm", "--canary", "--splice", "--no-plots"])
+    assert _ExplodingHarness.seen.lb_scheme == "stateless"
+    assert current_run() == RunContext()
+
+
+@pytest.fixture(scope="module")
+def first_ever_fig13():
+    """fig13 from a fresh interpreter: nothing ran before it."""
+    src = Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "fig13", "--no-plots"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    return _WALL.sub("", out)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lb-scheme", "stateless"],
+    # Flags that visibly change fig13's output, so a leak would show.
+    ["--faults", "hc-flap-storm", "--resilience"],
+])
+def test_run_after_a_flagged_run_matches_a_first_ever_run(
+        flags, first_ever_fig13, capsys):
+    code_flagged = main(["fig13", *flags, "--no-plots"])
+    flagged = _WALL.sub("", capsys.readouterr().out)
+    code_plain = main(["fig13", "--no-plots"])
+    plain = _WALL.sub("", capsys.readouterr().out)
+    assert code_flagged in (0, 1) and code_plain == 0
+    assert plain == first_ever_fig13
+    assert "== fig13" in plain
+    if "--faults" in flags:
+        assert flagged != plain

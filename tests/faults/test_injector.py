@@ -13,11 +13,9 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    ambient_plan,
-    clear_ambient_plan,
-    set_ambient_plan,
 )
 from repro.proxygen.config import ProxygenConfig
+from repro.run_context import RunContext, current_run, run_context
 
 
 def _deployment(plan=None, seed=0, **spec_kwargs):
@@ -201,16 +199,12 @@ def test_summary_shape():
 def test_ambient_plan_attaches_on_start():
     plan = _plan(FaultSpec("slow_host", where="appserver-*", at=1.0,
                            duration=2.0))
-    set_ambient_plan(plan)
-    try:
-        assert ambient_plan() is plan
+    with run_context(RunContext(faults=plan)):
         dep = _deployment()  # no explicit plan
         assert dep.fault_injector is not None
         assert dep.fault_injector.plan is plan
-    finally:
-        clear_ambient_plan()
-    assert ambient_plan() is None
-    # With the ambient cleared, new deployments run fault-free.
+    assert current_run().faults is None
+    # Outside the run's context, new deployments run fault-free.
     assert _deployment().fault_injector is None
 
 
@@ -229,12 +223,11 @@ def test_explicit_plan_beats_ambient():
                      name="explicit")
     ambient = _plan(FaultSpec("slow_host", where="appserver-1", at=1.0),
                     name="ambient")
-    set_ambient_plan(ambient)
-    try:
+    with run_context(RunContext(faults=ambient)) as ctx:
         dep = _deployment(explicit)
         assert dep.fault_injector.plan.name == "explicit"
-    finally:
-        clear_ambient_plan()
+    # The explicit plan won, so the run's plan was never consumed.
+    assert ctx.reads["faults"] == 0
 
 
 def test_takeover_stall_fails_release_then_retry_succeeds():

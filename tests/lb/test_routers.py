@@ -11,11 +11,9 @@ from repro.lb import (
     ROUTER_SCHEMES,
     StatefulRouter,
     StatelessRouter,
-    clear_ambient_lb_scheme,
     make_router,
-    set_ambient_lb_scheme,
 )
-from repro.lb.routers import ambient_lb_scheme
+from repro.run_context import RunContext, current_run, run_context
 
 
 def _key(i):
@@ -57,15 +55,12 @@ def test_katran_config_resolves_scheme():
 
 
 def test_ambient_scheme_set_and_clear():
-    assert ambient_lb_scheme() is None
-    set_ambient_lb_scheme("stateful")
-    try:
-        assert ambient_lb_scheme() == "stateful"
+    assert current_run().lb_scheme is None
+    with run_context(RunContext(lb_scheme="stateful")):
+        assert current_run().lb_scheme == "stateful"
         with pytest.raises(ValueError):
-            set_ambient_lb_scheme("bogus")
-    finally:
-        clear_ambient_lb_scheme()
-    assert ambient_lb_scheme() is None
+            RunContext(lb_scheme="bogus")
+    assert current_run().lb_scheme is None
 
 
 # -- common routing contract -------------------------------------------------

@@ -10,11 +10,9 @@ from repro.ops.load import (
     LoadController,
     LoadShape,
     LoadShapeConfig,
-    ambient_load_shape,
-    clear_ambient_load_shape,
     named_load_shape,
-    set_ambient_load_shape,
 )
+from repro.run_context import RunContext, current_run, run_context
 from repro.simkernel import Environment
 
 
@@ -299,12 +297,9 @@ def test_deployment_wires_spec_load_shape_into_clients():
 
 
 def test_ambient_load_shape_applies_and_clears():
-    set_ambient_load_shape(_diurnal())
-    try:
-        assert ambient_load_shape() is not None
+    with run_context(RunContext(load_shape=_diurnal())) as ctx:
         deployment = Deployment(_spec())
         assert deployment.load_controller is not None
-    finally:
-        clear_ambient_load_shape()
-    assert ambient_load_shape() is None
+    assert ctx.reads["load_shape"] == 1
+    assert current_run().load_shape is None
     assert Deployment(_spec(seed=1)).load_controller is None

@@ -479,9 +479,7 @@ def test_observer_end_fires_once_when_execute_raises_mid_fleet():
 
 
 def test_ambient_gate_factory_builds_gates_for_ungated_releases():
-    from repro.release.orchestrator import (ambient_release_gate,
-                                            clear_ambient_release_gate,
-                                            set_ambient_release_gate)
+    from repro.run_context import RunContext, current_run, run_context
 
     class CountingGate:
         def __init__(self):
@@ -502,13 +500,9 @@ def test_ambient_gate_factory_builds_gates_for_ungated_releases():
     env = Environment()
     release = RollingRelease(env, _targets(env, 4),
                              RollingReleaseConfig(batch_fraction=0.5))
-    set_ambient_release_gate(factory)
-    try:
-        assert ambient_release_gate() is factory
+    with run_context(RunContext(release_gate=factory)):
         env.run(until=env.process(release.execute()))
-    finally:
-        clear_ambient_release_gate()
-    assert ambient_release_gate() is None
+    assert current_run().release_gate is None
     assert built and built[0][0] is release
     assert built[0][1].reviews == 2  # one review per batch
     # Cleared: the next release builds no gate.

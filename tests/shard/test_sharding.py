@@ -12,8 +12,9 @@ for figure-scale sweeps at all.
 
 import pytest
 
-from repro.faults import builtin_plan, clear_ambient_plan, set_ambient_plan
+from repro.faults import builtin_plan
 from repro.regions import RegionalSpec
+from repro.run_context import RunContext, run_context
 from repro.shard import ShardPlan, run_sharded
 
 HORIZON = 30.0
@@ -92,9 +93,7 @@ def test_differential_is_not_vacuous():
 
 
 def test_ambient_fault_plan_is_rejected():
-    set_ambient_plan(builtin_plan("hc-flap-storm", at=1.0, duration=5.0))
-    try:
+    plan = builtin_plan("hc-flap-storm", at=1.0, duration=5.0)
+    with run_context(RunContext(faults=plan)):
         with pytest.raises(ValueError, match="do not shard"):
             run_sharded(_spec(0), until=5.0, shards=2)
-    finally:
-        clear_ambient_plan()

@@ -17,6 +17,7 @@ from repro.fuzz.scenario import Scenario, generate_scenario
 from repro.proxygen.config import ProxygenConfig
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.trace import TraceConfig
+from repro.run_context import RunContext, run_context
 from repro.trace import runtime as trace_runtime
 
 
@@ -28,18 +29,18 @@ def _traced_run(seed: int) -> str:
         specs=[FaultSpec(kind="slow_host", where="appserver-0", at=4.0,
                          duration=3.0, params={"speed_factor": 0.5})],
         description="deterministic slowdown")
-    trace_runtime.set_ambient_trace(TraceConfig(sample_rate=1.0,
-                                                max_traces=500))
     try:
-        deployment = build_deployment(
-            seed=seed, edge_proxies=2, origin_proxies=1, app_servers=2,
-            edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
-                                       spawn_delay=0.5),
-            web=WebWorkloadConfig(clients_per_host=6, think_time=0.6,
-                                  post_fraction=0.2),
-            mqtt=MqttWorkloadConfig(users_per_host=4,
-                                    publish_interval=2.0),
-            fault_plan=plan)
+        with run_context(RunContext(trace=TraceConfig(sample_rate=1.0,
+                                                      max_traces=500))):
+            deployment = build_deployment(
+                seed=seed, edge_proxies=2, origin_proxies=1, app_servers=2,
+                edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
+                                           spawn_delay=0.5),
+                web=WebWorkloadConfig(clients_per_host=6, think_time=0.6,
+                                      post_fraction=0.2),
+                mqtt=MqttWorkloadConfig(users_per_host=4,
+                                        publish_interval=2.0),
+                fault_plan=plan)
         deployment.run(until=6.0)
         release = RollingRelease(deployment.env, deployment.edge_servers,
                                  RollingReleaseConfig(batch_fraction=0.5))
@@ -48,7 +49,6 @@ def _traced_run(seed: int) -> str:
         (collector,) = trace_runtime.drain()
         return collector.to_json()
     finally:
-        trace_runtime.clear_ambient_trace()
         trace_runtime.drain()
 
 
