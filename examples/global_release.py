@@ -10,30 +10,33 @@ capacity.
 Run:  python examples/global_release.py
 """
 
+from repro import Deployment, DeploymentSpec
 from repro.clients import WebWorkloadConfig
 from repro.proxygen import ProxygenConfig
-from repro.regions import RegionalDeployment, RegionalSpec
 from repro.release import RollingRelease, RollingReleaseConfig
 from repro.simkernel.events import AllOf
 
 
 def main() -> None:
     drain = 6.0
-    dep = RegionalDeployment(RegionalSpec(
+    dep = Deployment(DeploymentSpec(
         seed=1,
         regions=1,
         pops_per_region=3,
-        proxies_per_pop=4,
+        edge_proxies=4,          # per PoP
         origin_proxies=3,
         app_servers=4,
-        mqtt_users_per_pop=0,
+        brokers=1,
+        web_client_hosts=1,      # per PoP
+        mqtt_workload=None,
+        quic_workload=None,
         edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
                                    spawn_delay=1.0),
         web_workload=WebWorkloadConfig(clients_per_host=8,
                                        think_time=1.0)))
     dep.start()
     dep.run(until=20)
-    pops = dep.regions[0].pops
+    pops = dep.pops
 
     print("topology: 3 Edge PoPs × 4 proxies → 1 Origin DC "
           f"({len(dep.app_servers)} app servers)")

@@ -39,7 +39,7 @@ from .spec import CohortPolicy, CohortSpec
 __all__ = ["CohortDriver", "CohortSet"]
 
 #: protocol → (population class, config count field, first-id kwarg).
-_PROTOCOLS = {
+CLIENT_PROTOCOLS = {
     "web": (WebClientPopulation, "clients_per_host", "first_client_id"),
     "mqtt": (MqttClientPopulation, "users_per_host", "first_user_id"),
     "quic": (QuicClientPopulation, "flows_per_host", "first_flow_id"),
@@ -76,7 +76,7 @@ class CohortDriver:
         else:
             self.spawned = cohort.representatives(policy)
             self.weight = cohort.size / self.spawned
-        cls, count_field, first_field = _PROTOCOLS[cohort.protocol]
+        cls, count_field, first_field = CLIENT_PROTOCOLS[cohort.protocol]
         self.population = cls(
             [host], vip, router, metrics,
             replace(workload, **{count_field: self.spawned}),
@@ -175,8 +175,10 @@ class CohortSet:
         self.counters = deployment.metrics.scoped_counters("cohorts")
         self._observer = None
 
-    def start(self) -> None:
-        for driver in self.drivers:
+    def start(self, drivers: list[CohortDriver]) -> None:
+        """Start ``drivers``: every cohort, or a shard worker's regions'
+        cohorts only (repro.shard)."""
+        for driver in drivers:
             driver.start()
         if (self.policy.condense_per_event > 0
                 and any(d.fidelity == "aggregate" for d in self.drivers)):

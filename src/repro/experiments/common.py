@@ -15,8 +15,7 @@ from ..invariants import runtime as invariant_runtime
 from ..proxygen.config import ProxygenConfig
 from ..trace import runtime as trace_runtime
 
-__all__ = ["ExperimentResult", "build_deployment",
-           "build_regional_deployment", "fault_summary",
+__all__ = ["ExperimentResult", "build_deployment", "fault_summary",
            "sum_counter", "aggregate_series", "mean"]
 
 
@@ -85,6 +84,9 @@ def build_deployment(seed: int = 0,
                      **spec_kwargs) -> Deployment:
     """A deployment sized for experiment runtime (seconds, not minutes).
 
+    Tier sizes and ``web``/``mqtt``/``quic`` (one client host each)
+    count per region and per PoP; ``spec_kwargs`` (e.g. ``regions``,
+    ``pops_per_region``) go straight into :class:`DeploymentSpec`.
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) attaches fault
     injection for this run; without it, the run's ``--faults`` plan
     (:mod:`repro.run_context`) still applies.  ``env`` swaps the
@@ -114,23 +116,6 @@ def build_deployment(seed: int = 0,
     # Request tracing (the CLI's --trace): a no-op unless the run sets
     # a TraceConfig — must attach before start() so the instances'
     # bound tracer handles see the collector.
-    trace_runtime.install(deployment)
-    deployment.start()
-    return deployment
-
-
-def build_regional_deployment(fault_plan=None, env=None,
-                              **spec_kwargs) -> "RegionalDeployment":
-    """A multi-region deployment with the same always-on harness wiring
-    as :func:`build_deployment` (invariants installed, tracing attached,
-    started).  ``spec_kwargs`` go straight into
-    :class:`repro.regions.RegionalSpec`.
-    """
-    from ..regions import RegionalDeployment, RegionalSpec
-
-    deployment = RegionalDeployment(RegionalSpec(**spec_kwargs), env=env,
-                                    fault_plan=fault_plan)
-    invariant_runtime.install(deployment)
     trace_runtime.install(deployment)
     deployment.start()
     return deployment

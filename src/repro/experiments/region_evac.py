@@ -24,6 +24,7 @@ relaxed to structural ones — chaos deliberately perturbs both arms.
 
 from __future__ import annotations
 
+from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
 from ..faults.plan import FaultPlan, FaultSpec
 from ..lb.katran import KatranConfig
@@ -31,8 +32,7 @@ from ..lb.routers import ROUTER_SCHEMES
 from ..proxygen.config import ProxygenConfig
 from ..regions import evacuate_region
 from ..run_context import current_run
-from .common import ExperimentResult, build_regional_deployment, \
-    fault_summary
+from .common import ExperimentResult, build_deployment, fault_summary
 
 __all__ = ["run"]
 
@@ -57,17 +57,18 @@ def _build(seed: int, **overrides):
         seed=seed,
         regions=2,
         pops_per_region=1,
-        proxies_per_pop=3,
+        edge_proxies=3,
         origin_proxies=2,
         app_servers=2,
         brokers=1,
-        web_clients_per_pop=6,
-        mqtt_users_per_pop=5,
+        web=WebWorkloadConfig(clients_per_host=6, think_time=1.0,
+                              request_timeout=8.0),
+        mqtt=MqttWorkloadConfig(users_per_host=5, keepalive_timeout=20.0),
         edge_config=_edge_config(),
         origin_config=_origin_config(),
     )
     kwargs.update(overrides)
-    return build_regional_deployment(**kwargs)
+    return build_deployment(**kwargs)
 
 
 def _sum_with_tags(metrics, scope_prefix: str, name: str) -> float:
@@ -151,9 +152,8 @@ def _partition_arm(seed: int, failover: bool) -> dict:
         seed, failover=failover, fault_plan=plan,
         # A short request timeout sharpens the arms' contrast: stranded
         # r0 clients burn timeouts instead of idling out the partition.
-        web_workload=WebWorkloadConfig(clients_per_host=6,
-                                       think_time=1.0,
-                                       request_timeout=3.0))
+        web=WebWorkloadConfig(clients_per_host=6, think_time=1.0,
+                              request_timeout=3.0))
     deployment.run(until=HORIZON)
     metrics = deployment.metrics
     return {

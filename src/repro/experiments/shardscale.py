@@ -23,7 +23,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
-from ..regions import RegionalSpec
+from ..clients.mqtt import MqttWorkloadConfig
+from ..clients.web import WebWorkloadConfig
+from ..cluster import DeploymentSpec
 from ..run_context import current_run, knob, run_context
 from ..shard import run_sharded
 from .common import ExperimentResult
@@ -58,9 +60,20 @@ def _digest(counters: dict) -> str:
 
 def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
     shards = knob("shards", shards) or 1
-    spec = RegionalSpec(
+    spec = DeploymentSpec(
         seed=seed,
         regions=REGIONS,
+        edge_proxies=3,
+        origin_proxies=2,
+        app_servers=2,
+        brokers=1,
+        web_client_hosts=1,
+        mqtt_client_hosts=1,
+        web_workload=WebWorkloadConfig(clients_per_host=6, think_time=1.0,
+                                       request_timeout=8.0),
+        mqtt_workload=MqttWorkloadConfig(users_per_host=5,
+                                         keepalive_timeout=20.0),
+        quic_workload=None,
         failover=False,
         local_broker_homing=True,
         partition_network_rng=True,

@@ -24,7 +24,6 @@ from ..invariants import InvariantSuite, InvariantViolation, make_checkers
 from ..lb.katran import KatranConfig
 from ..ops.load import named_load_shape
 from ..proxygen.config import ProxygenConfig
-from ..regions import RegionalDeployment, RegionalSpec
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..trace import TraceConfig
 from ..trace import runtime as trace_runtime
@@ -54,10 +53,12 @@ class FuzzRunResult:
 
 
 def _build_spec(scenario: Scenario) -> DeploymentSpec:
-    """The scenario's cluster, shrunk-friendly and fast to simulate."""
+    """The scenario's deployment, shrunk-friendly and fast to simulate
+    (Edge proxies and client hosts count per PoP, one PoP per region)."""
     spawn_delay = 0.5
     return DeploymentSpec(
         seed=scenario.seed,
+        regions=scenario.regions,
         edge_proxies=scenario.edge_proxies,
         origin_proxies=scenario.origin_proxies,
         app_servers=scenario.app_servers,
@@ -98,48 +99,6 @@ def _build_spec(scenario: Scenario) -> DeploymentSpec:
     )
 
 
-def _build_regional_spec(scenario: Scenario) -> RegionalSpec:
-    """Multi-region variant: per-pop counts reuse the scenario fields."""
-    spawn_delay = 0.5
-    return RegionalSpec(
-        seed=scenario.seed,
-        regions=scenario.regions,
-        pops_per_region=1,
-        proxies_per_pop=scenario.edge_proxies,
-        origin_proxies=scenario.origin_proxies,
-        app_servers=scenario.app_servers,
-        brokers=scenario.brokers,
-        web_clients_per_pop=scenario.web_clients,
-        mqtt_users_per_pop=scenario.mqtt_users,
-        edge_config=ProxygenConfig(
-            mode="edge",
-            enable_takeover=scenario.edge_takeover,
-            drain_duration=scenario.drain_duration,
-            spawn_delay=spawn_delay),
-        origin_config=ProxygenConfig(
-            mode="origin",
-            drain_duration=scenario.drain_duration,
-            spawn_delay=spawn_delay),
-        app_config=AppServerConfig(
-            drain_duration=min(3.0, scenario.drain_duration),
-            restart_downtime=2.0),
-        katran_config=KatranConfig(lb_scheme=scenario.lb_scheme),
-        load_shape=(named_load_shape(scenario.load_shape,
-                                     scenario.duration)
-                    if scenario.load_shape else None),
-        web_workload=(WebWorkloadConfig(
-            clients_per_host=scenario.web_clients,
-            post_fraction=scenario.post_fraction,
-            think_time=1.0,
-            request_timeout=8.0)
-            if scenario.web_clients > 0 else None),
-        mqtt_workload=(MqttWorkloadConfig(
-            users_per_host=scenario.mqtt_users,
-            keepalive_timeout=20.0)
-            if scenario.mqtt_users > 0 else None),
-    )
-
-
 def _release_targets(deployment: Deployment, tier: str) -> list:
     return {
         "edge": deployment.edge_servers,
@@ -175,13 +134,8 @@ def run_scenario(scenario: Scenario,
     testing); ``None`` uses the optimized live kernel.
     """
     with planted_fault(scenario.planted):
-        if scenario.regions > 1:
-            deployment = RegionalDeployment(
-                _build_regional_spec(scenario), env=env,
-                fault_plan=scenario.fault_plan())
-        else:
-            deployment = Deployment(_build_spec(scenario), env=env,
-                                    fault_plan=scenario.fault_plan())
+        deployment = Deployment(_build_spec(scenario), env=env,
+                                fault_plan=scenario.fault_plan())
         suite = InvariantSuite(deployment,
                                checkers=make_checkers(checkers))
         suite.attach()

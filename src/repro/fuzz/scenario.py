@@ -59,9 +59,9 @@ class Scenario:
     #: Load shape (repro.ops.load.LOAD_SHAPE_KINDS) modulating client
     #: arrival rates, scaled to the run's duration; None = constant.
     load_shape: Optional[str] = None
-    #: Regions in the deployment; 1 = the classic single-Origin cluster,
-    #: >1 builds a :class:`repro.regions.RegionalDeployment` (per-pop
-    #: client/proxy counts reuse the single-region fields above).
+    #: Regions in the deployment, one Edge PoP each; 1 = the classic
+    #: single-Origin cluster (Edge proxy and client counts are per PoP,
+    #: the other tier sizes per region).
     regions: int = 1
     #: Cohort client layer: :class:`repro.cohorts.CohortPolicy` kwargs
     #: (``to_dict`` form), or None for one SimProcess per client.
@@ -245,7 +245,8 @@ def generate_scenario(seed: int, planted: Optional[str] = None) -> Scenario:
     # Cohort draws come after the regions block (same LAST-draw rule):
     # every draw above is bit-identical to pre-cohort seeds.  Planted
     # faults stay on the individual-client path they were calibrated
-    # against, and regional deployments do not take a cohort policy yet.
+    # against, and regional runs keep the scenarios they were drawn
+    # with before cohorts reached multi-region deployments.
     if planted is None and scenario.regions == 1 and rng.random() < 0.35:
         scenario.cohorts = {
             "fidelity": rng.choice(("auto", "auto", "aggregate")),

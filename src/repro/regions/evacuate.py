@@ -65,6 +65,10 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
     if suite is not None:
         suite.record("evacuation_begin", region=region)
     counters.inc("evacuations_started", tag=region_name)
+    # The exit ramp is a mechanism window: drains and DCR splices see
+    # per-chunk fidelity, never a spliced bulk transfer.
+    if deployment.splice is not None:
+        deployment.splice.suspend("evacuation")
 
     # 1. Anycast withdraw: stop attracting new client flows.
     deployment.withdraw_region(region_name)
@@ -161,6 +165,8 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
                     report.tunnels_terminated += 1
                     counters.inc("tunnels_terminated", tag=region_name)
 
+    if deployment.splice is not None:
+        deployment.splice.resume("evacuation")
     region.evacuated = True
     report.finished_at = env.now
     if suite is not None:

@@ -1,9 +1,10 @@
 """Sharded parallel simulation of independent regions.
 
-A multi-region deployment (:mod:`repro.regions`) whose regions share no
-runtime edges — ``failover=False`` pins clients and PoPs to their home
-region, ``local_broker_homing=True`` keeps MQTT sessions on home-region
-brokers, ``partition_network_rng=True`` gives every source site its own
+A multi-region deployment (:class:`repro.cluster.Deployment` with
+``regions > 1``) whose regions share no runtime edges —
+``failover=False`` pins clients and PoPs to their home region,
+``local_broker_homing=True`` keeps MQTT sessions on home-region brokers,
+``partition_network_rng=True`` gives every source site its own
 jitter/loss stream — factors into per-region simulations that can run
 in parallel worker processes.  The runner here exploits that:
 
@@ -54,7 +55,7 @@ class ShardPlan:
 
     @classmethod
     def for_spec(cls, spec, shards: int) -> "ShardPlan":
-        """Plan for a :class:`repro.regions.RegionalSpec` (regions are
+        """Plan for a :class:`repro.cluster.DeploymentSpec` (regions are
         named ``r0..r{n-1}`` by the builder)."""
         return cls(tuple(f"r{i}" for i in range(spec.regions)), shards)
 

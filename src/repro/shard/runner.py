@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
+from ..cluster import Deployment, DeploymentSpec
 from ..invariants import runtime as invariant_runtime
 from ..run_context import current_run
 from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
@@ -20,18 +21,13 @@ from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
 __all__ = ["run_sharded"]
 
 
-def _run_one(spec, until: float, region_names: Optional[list],
-             check_invariants: bool) -> dict:
-    """Build, start (a subset of) and run one regional deployment;
-    return its report dict.  Runs in-process for the 1-shard arm and
-    inside a forked worker for every sharded arm — one code path, so
-    the differential compares like with like."""
-    from ..regions import RegionalDeployment, RegionalSpec
-
-    if not isinstance(spec, RegionalSpec):
-        raise TypeError(f"run_sharded wants a RegionalSpec, "
-                        f"got {type(spec).__name__}")
-    deployment = RegionalDeployment(spec)
+def _run_one(spec: DeploymentSpec, until: float,
+             region_names: Optional[list], check_invariants: bool) -> dict:
+    """Build, start (a subset of) and run one deployment; return its
+    report dict.  Runs in-process for the 1-shard arm and inside a
+    forked worker for every sharded arm — one code path, so the
+    differential compares like with like."""
+    deployment = Deployment(spec)
     suite = (invariant_runtime.install(deployment)
              if check_invariants else None)
     deployment.start(only_regions=region_names)
@@ -66,9 +62,9 @@ def _worker_main(pipe, spec, until: float, region_names: list,
         pipe.close()
 
 
-def run_sharded(spec, until: float, shards: int = 1,
+def run_sharded(spec: DeploymentSpec, until: float, shards: int = 1,
                 check_invariants: bool = True) -> ShardResult:
-    """Run a regional deployment across ``shards`` worker processes.
+    """Run a multi-region deployment across ``shards`` worker processes.
 
     ``shards=1`` runs in-process (same code path, no fork).  The spec
     must be shard-independent for N>1 to be meaningful — the

@@ -112,3 +112,69 @@ def test_different_seed_differs():
         return dep.metrics.scoped_counters("web-clients").snapshot()
 
     assert build_and_measure(7) != build_and_measure(8)
+
+
+# -- the address plan --------------------------------------------------------
+
+#: Every host of a default spec as (name, site, ip).  Each host's RNG
+#: streams are forked from its name, and rings hash its IP, so this
+#: plan is what keeps same-seed single-site runs byte-identical.
+DEFAULT_PLAN = [
+    ("broker-0", "origin", "10.2.0.1"),
+    ("broker-1", "origin", "10.2.0.2"),
+    ("appserver-0", "origin", "10.2.0.3"),
+    ("appserver-1", "origin", "10.2.0.4"),
+    ("appserver-2", "origin", "10.2.0.5"),
+    ("appserver-3", "origin", "10.2.0.6"),
+    ("appserver-4", "origin", "10.2.0.7"),
+    ("appserver-5", "origin", "10.2.0.8"),
+    ("origin-proxy-0", "origin", "10.2.0.9"),
+    ("origin-proxy-1", "origin", "10.2.0.10"),
+    ("origin-proxy-2", "origin", "10.2.0.11"),
+    ("origin-proxy-3", "origin", "10.2.0.12"),
+    ("origin-katran", "origin", "10.2.0.13"),
+    ("edge-proxy-0", "edge", "10.1.0.1"),
+    ("edge-proxy-1", "edge", "10.1.0.2"),
+    ("edge-proxy-2", "edge", "10.1.0.3"),
+    ("edge-proxy-3", "edge", "10.1.0.4"),
+    ("edge-proxy-4", "edge", "10.1.0.5"),
+    ("edge-proxy-5", "edge", "10.1.0.6"),
+    ("edge-katran", "edge", "10.1.0.7"),
+    ("web-clients-0", "client", "10.3.0.1"),
+    ("web-clients-1", "client", "10.3.0.2"),
+    ("mqtt-clients-0", "client", "10.3.0.3"),
+    ("mqtt-clients-1", "client", "10.3.0.4"),
+    ("quic-clients-0", "client", "10.3.0.5"),
+]
+
+
+def test_single_site_address_plan_is_pinned():
+    dep = Deployment(DeploymentSpec())
+    assert [(h.name, h.site, h.ip) for h in dep.network.hosts()] == \
+        DEFAULT_PLAN
+    # One PoP: clients route straight into its Katran, no anycast.
+    assert dep.resolvers == [] and dep.pops[0].ecmp is None
+
+
+def test_multi_site_names_and_ips_are_unique():
+    dep = Deployment(DeploymentSpec(regions=3, pops_per_region=2,
+                                    l4lbs_per_pop=2))
+    hosts = dep.network.hosts()
+    assert len({h.name for h in hosts}) == len(hosts)
+    assert len({h.ip for h in hosts}) == len(hosts)
+    assert len(dep.pops) == 6 and len(dep.resolvers) == 6
+    assert all(pop.ecmp is not None for pop in dep.pops)
+    assert {h.site for h in dep.edge_hosts} == {
+        f"r{r}-pop{p}" for r in range(3) for p in range(2)}
+
+
+@pytest.mark.parametrize("shape", [{}, {"regions": 2}],
+                         ids=["1x1", "multi-region"])
+@pytest.mark.parametrize("tier, wrong", [("edge", "origin"),
+                                         ("origin", "edge")])
+def test_tier_config_with_the_wrong_mode_is_rejected(shape, tier, wrong):
+    from repro.proxygen import ProxygenConfig
+
+    with pytest.raises(ValueError, match=f"{tier}_config"):
+        DeploymentSpec(**shape,
+                       **{f"{tier}_config": ProxygenConfig(mode=wrong)})

@@ -1,27 +1,32 @@
 """Global (multi-PoP) deployments: one region, several Edge PoPs.
 
 The paper's global roll-out shape — N Edge PoPs funneling into one
-Origin DC — is ``RegionalDeployment`` with ``regions=1``; a global
-release is one ``RollingRelease`` per PoP fleet, all running at once.
+Origin DC — is ``Deployment`` with ``regions=1, pops_per_region=N``; a
+global release is one ``RollingRelease`` per PoP fleet, all running at
+once.
 """
 
 import pytest
 
 from repro.clients import WebWorkloadConfig
+from repro.cluster import Deployment, DeploymentSpec
 from repro.proxygen import ProxygenConfig
-from repro.regions import RegionalDeployment, RegionalSpec
 from repro.release import RollingRelease, RollingReleaseConfig
 from repro.simkernel.events import AllOf
 
 
 def _global_dep(seed, pops, proxies_per_pop=4, l4lbs_per_pop=1,
                 edge_config=None, web_workload=None, web=True):
-    dep = RegionalDeployment(RegionalSpec(
+    if web:
+        web_workload = web_workload or WebWorkloadConfig(
+            clients_per_host=6, think_time=1.0, request_timeout=8.0)
+    dep = Deployment(DeploymentSpec(
         seed=seed, regions=1, pops_per_region=pops,
-        proxies_per_pop=proxies_per_pop, l4lbs_per_pop=l4lbs_per_pop,
-        origin_proxies=3, app_servers=4, mqtt_users_per_pop=0,
-        web_clients_per_pop=6 if web else 0,
-        edge_config=edge_config, web_workload=web_workload))
+        edge_proxies=proxies_per_pop, l4lbs_per_pop=l4lbs_per_pop,
+        origin_proxies=3, app_servers=4, brokers=1,
+        web_client_hosts=1, mqtt_client_hosts=0,
+        web_workload=web_workload if web else None, mqtt_workload=None,
+        quic_workload=None, edge_config=edge_config))
     dep.start()
     return dep
 
@@ -31,7 +36,7 @@ def _global_release(dep, **config):
     releases = [RollingRelease(dep.env, pop.servers,
                                RollingReleaseConfig(**config),
                                name=f"release-{pop.name}")
-                for pop in dep.regions[0].pops]
+                for pop in dep.pops]
     dep.env.run(until=AllOf(dep.env, [dep.env.process(r.execute())
                                       for r in releases]))
     return releases
@@ -47,7 +52,7 @@ def global_dep():
 
 
 def test_each_pop_serves_its_clients(global_dep):
-    for pop in global_dep.regions[0].pops:
+    for pop in global_dep.pops:
         counters = global_dep.metrics.scoped_counters(
             f"web-clients-{pop.name}")
         assert counters.get("get_ok") > 10, pop.name
@@ -62,7 +67,7 @@ def test_all_pops_share_one_origin(global_dep):
 
 
 def test_pop_katrans_are_independent(global_dep):
-    pops = global_dep.regions[0].pops
+    pops = global_dep.pops
     assert len(pops) == 3
     for pop in pops:
         assert len(pop.servers) == 3
@@ -80,7 +85,7 @@ def test_global_release_completes_everywhere():
     dep.run(until=15)
     releases = _global_release(dep, batch_fraction=0.5)
     dep.run(until=dep.env.now + 6)
-    for pop in dep.regions[0].pops:
+    for pop in dep.pops:
         for server in pop.servers:
             assert server.releases_completed == 1
             assert server.active_instance.generation == 2
@@ -120,7 +125,7 @@ def _ecmp_dep(seed=3, l4lbs_per_pop=2):
 
 def test_ecmp_spreads_flows_over_every_l4lb():
     dep = _ecmp_dep()
-    for pop in dep.regions[0].pops:
+    for pop in dep.pops:
         assert len(pop.l4lbs) == 2
         picks = [l4.counters.get("route_hash")
                  + l4.counters.get("route_table_hit")
@@ -131,7 +136,7 @@ def test_ecmp_spreads_flows_over_every_l4lb():
 
 def test_all_l4lbs_of_a_pop_agree_on_backends():
     dep = _ecmp_dep()
-    for pop in dep.regions[0].pops:
+    for pop in dep.pops:
         healthy = {tuple(sorted(l4.healthy_backends()))
                    for l4 in pop.l4lbs}
         assert healthy == {tuple(sorted(h.ip for h in pop.hosts))}
@@ -141,8 +146,8 @@ def test_all_katrans_lists_origin_and_every_pop_l4lb():
     dep = _ecmp_dep()
     names = {k.name for k in dep.all_katrans()}
     assert names == {"r0-origin-katran",
-                     "r0p0-katran-0", "r0p0-katran-1",
-                     "r0p1-katran-0", "r0p1-katran-1"}
+                     "r0p0-edge-katran-0", "r0p0-edge-katran-1",
+                     "r0p1-edge-katran-0", "r0p1-edge-katran-1"}
 
 
 def test_same_seed_global_runs_are_byte_identical():

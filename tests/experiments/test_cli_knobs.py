@@ -18,9 +18,6 @@ from repro.lb.routers import ROUTER_SCHEMES
     (["fig16", "--faults", "hc-flap-storm"], "--faults"),
     # The ablation drives Katrans directly, each with its own scheme.
     (["lbablation", "--lb-scheme", "stateless"], "--lb-scheme"),
-    # The regional builder has no splice or cohort layer.
-    (["regionevac", "--splice"], "--splice"),
-    (["regionevac", "--cohorts", "10"], "--cohorts"),
     # shardscale shelves the plan around the sharded run.
     (["shardscale", "--faults", "hc-flap-storm"], "--faults"),
 ])
@@ -39,25 +36,31 @@ def test_flag_that_reaches_no_deployment_exits_2(argv, flag, capsys):
     # With two shards every deployment is built in a forked worker; the
     # workers' reads must still reach the CLI's run context.
     ["shardscale", "--shards", "2", "--resilience"],
+    # One builder: the multi-region deployments take the splice and
+    # cohort layers like every other deployment.
+    ["regionevac", "--splice"],
+    ["regionevac", "--cohorts", "10"],
 ])
 def test_consumed_flags_print_no_unconsumed_line(argv, capsys):
     code = main(argv + ["--no-plots"])
     out = capsys.readouterr().out
     assert code == 0
     assert "reached no deployment" not in out
+    assert "= FAIL" not in out
+    assert "INVARIANT VIOLATIONS" not in out
 
 
 def test_regionevac_lb_scheme_keeps_each_arms_own_scheme(monkeypatch,
                                                          capsys):
     built = []
-    build = region_evac.build_regional_deployment
+    build = region_evac.build_deployment
 
     def recording_build(**kwargs):
         deployment = build(**kwargs)
         built.append(deployment)
         return deployment
 
-    monkeypatch.setattr(region_evac, "build_regional_deployment",
+    monkeypatch.setattr(region_evac, "build_deployment",
                         recording_build)
     code = main(["regionevac", "--lb-scheme", "stateless", "--no-plots"])
     out = capsys.readouterr().out

@@ -2,24 +2,31 @@
 
 import pytest
 
+from repro.clients.mqtt import MqttWorkloadConfig
+from repro.clients.web import WebWorkloadConfig
+from repro.cluster import Deployment, DeploymentSpec
 from repro.faults import FaultPlan, FaultSpec
 from repro.invariants import InvariantSuite
 from repro.proxygen.config import ProxygenConfig
-from repro.regions import RegionalDeployment, RegionalSpec, \
-    evacuate_region
+from repro.regions import evacuate_region
 
 
 def _spec(**overrides):
     defaults = dict(
-        seed=1, regions=2, pops_per_region=1, proxies_per_pop=2,
+        seed=1, regions=2, pops_per_region=1, edge_proxies=2,
         origin_proxies=2, app_servers=2, brokers=1,
-        web_clients_per_pop=4, mqtt_users_per_pop=4,
+        web_client_hosts=1, mqtt_client_hosts=1,
+        web_workload=WebWorkloadConfig(clients_per_host=4, think_time=1.0,
+                                       request_timeout=8.0),
+        mqtt_workload=MqttWorkloadConfig(users_per_host=4,
+                                         keepalive_timeout=20.0),
+        quic_workload=None,
         edge_config=ProxygenConfig(mode="edge", drain_duration=2.0,
                                    spawn_delay=0.5),
         origin_config=ProxygenConfig(mode="origin", drain_duration=2.0,
                                      spawn_delay=0.5))
     defaults.update(overrides)
-    return RegionalSpec(**defaults)
+    return DeploymentSpec(**defaults)
 
 
 def _evacuate(dep, region="r1", start=8.0, until=30.0):
@@ -32,7 +39,7 @@ def _evacuate(dep, region="r1", start=8.0, until=30.0):
 
 
 def test_evacuation_empties_the_region_under_live_load():
-    dep = RegionalDeployment(_spec())
+    dep = Deployment(_spec())
     suite = InvariantSuite(dep)
     suite.attach()
     report = _evacuate(dep)
@@ -56,7 +63,7 @@ def test_evacuation_empties_the_region_under_live_load():
 
 
 def test_rehomed_sessions_live_on_surviving_ring_owners():
-    dep = RegionalDeployment(_spec())
+    dep = Deployment(_spec())
     report = _evacuate(dep)
     survivor = dep.region("r0")
     surviving_ips = {b.host.ip for b in survivor.brokers}
@@ -67,7 +74,7 @@ def test_rehomed_sessions_live_on_surviving_ring_owners():
 
 
 def test_no_tunnel_still_points_at_a_departed_broker():
-    dep = RegionalDeployment(_spec())
+    dep = Deployment(_spec())
     _evacuate(dep)
     departed = {h.ip for h in dep.region("r1").broker_hosts}
     for server in dep.origin_servers:
@@ -80,7 +87,7 @@ def test_no_tunnel_still_points_at_a_departed_broker():
 
 
 def test_survivor_keeps_serving_through_the_evacuation():
-    dep = RegionalDeployment(_spec())
+    dep = Deployment(_spec())
     dep.start()
     dep.run(until=8.0)
     pop = dep.region("r0").pops[0]
@@ -99,7 +106,7 @@ def test_partitioned_clients_get_their_tunnels_terminated():
         "strand-r0",
         [FaultSpec("wan_partition", where="r0-*:*", at=5.0,
                    duration=None)])
-    dep = RegionalDeployment(_spec(), fault_plan=plan)
+    dep = Deployment(_spec(), fault_plan=plan)
     suite = InvariantSuite(dep)
     suite.attach()
     report = _evacuate(dep)
@@ -117,7 +124,7 @@ def test_partitioned_clients_get_their_tunnels_terminated():
 
 def test_evacuation_is_deterministic():
     def one_run():
-        dep = RegionalDeployment(_spec(seed=5))
+        dep = Deployment(_spec(seed=5))
         report = _evacuate(dep)
         return (report.finished_at, report.sessions_transferred,
                 report.tunnels_solicited, sorted(report.moved_users),

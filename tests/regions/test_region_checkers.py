@@ -9,21 +9,28 @@ from repro.invariants.checkers import (
     CrossRegionContinuityChecker,
     EvacuationCompletenessChecker,
 )
+from repro.clients.mqtt import MqttWorkloadConfig
+from repro.clients.web import WebWorkloadConfig
+from repro.cluster import Deployment, DeploymentSpec
 from repro.proxygen.config import ProxygenConfig
-from repro.regions import RegionalDeployment, RegionalSpec
 
 
 def _running_deployment(**overrides):
     defaults = dict(
-        seed=1, regions=2, pops_per_region=1, proxies_per_pop=2,
+        seed=1, regions=2, pops_per_region=1, edge_proxies=2,
         origin_proxies=2, app_servers=2, brokers=1,
-        web_clients_per_pop=3, mqtt_users_per_pop=4,
+        web_client_hosts=1, mqtt_client_hosts=1,
+        web_workload=WebWorkloadConfig(clients_per_host=3, think_time=1.0,
+                                       request_timeout=8.0),
+        mqtt_workload=MqttWorkloadConfig(users_per_host=4,
+                                         keepalive_timeout=20.0),
+        quic_workload=None,
         edge_config=ProxygenConfig(mode="edge", drain_duration=2.0,
                                    spawn_delay=0.5),
         origin_config=ProxygenConfig(mode="origin", drain_duration=2.0,
                                      spawn_delay=0.5))
     defaults.update(overrides)
-    dep = RegionalDeployment(RegionalSpec(**defaults))
+    dep = Deployment(DeploymentSpec(**defaults))
     dep.start()
     dep.run(until=10.0)
     return dep

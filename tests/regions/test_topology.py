@@ -1,24 +1,30 @@
-"""RegionalDeployment: topology shape, determinism, anycast failover."""
+"""Multi-region Deployment: topology shape, determinism, anycast failover."""
 
 import pytest
 
+from repro.clients.mqtt import MqttWorkloadConfig
 from repro.clients.web import WebWorkloadConfig
+from repro.cluster import Deployment, DeploymentSpec
 from repro.faults import FaultPlan, FaultSpec
 from repro.proxygen.config import ProxygenConfig
-from repro.regions import RegionalDeployment, RegionalSpec
 
 
 def _spec(**overrides):
     defaults = dict(
-        seed=1, regions=2, pops_per_region=1, proxies_per_pop=2,
+        seed=1, regions=2, pops_per_region=1, edge_proxies=2,
         origin_proxies=2, app_servers=2, brokers=1,
-        web_clients_per_pop=4, mqtt_users_per_pop=3,
+        web_client_hosts=1, mqtt_client_hosts=1,
+        web_workload=WebWorkloadConfig(clients_per_host=4, think_time=1.0,
+                                       request_timeout=8.0),
+        mqtt_workload=MqttWorkloadConfig(users_per_host=3,
+                                         keepalive_timeout=20.0),
+        quic_workload=None,
         edge_config=ProxygenConfig(mode="edge", drain_duration=2.0,
                                    spawn_delay=0.5),
         origin_config=ProxygenConfig(mode="origin", drain_duration=2.0,
                                      spawn_delay=0.5))
     defaults.update(overrides)
-    return RegionalSpec(**defaults)
+    return DeploymentSpec(**defaults)
 
 
 def _metrics_snapshot(deployment) -> dict:
@@ -28,7 +34,7 @@ def _metrics_snapshot(deployment) -> dict:
 
 @pytest.fixture(scope="module")
 def regional_dep():
-    dep = RegionalDeployment(_spec())
+    dep = Deployment(_spec())
     dep.start()
     dep.run(until=15.0)
     return dep
@@ -64,7 +70,7 @@ def test_mqtt_users_land_on_the_global_broker_ring(regional_dep):
 
 def test_same_seed_runs_are_byte_identical():
     def one_run():
-        dep = RegionalDeployment(_spec(seed=7))
+        dep = Deployment(_spec(seed=7))
         dep.start()
         dep.run(until=12.0)
         return _metrics_snapshot(dep)
@@ -74,7 +80,7 @@ def test_same_seed_runs_are_byte_identical():
 
 def test_distinct_seeds_diverge():
     def one_run(seed):
-        dep = RegionalDeployment(_spec(seed=seed))
+        dep = Deployment(_spec(seed=seed))
         dep.start()
         dep.run(until=12.0)
         return _metrics_snapshot(dep)
@@ -90,7 +96,7 @@ def _partition_plan(duration=None):
 
 
 def test_anycast_fails_over_when_home_region_is_partitioned():
-    dep = RegionalDeployment(
+    dep = Deployment(
         _spec(web_workload=WebWorkloadConfig(clients_per_host=4,
                                              think_time=1.0,
                                              request_timeout=3.0)),
@@ -106,7 +112,7 @@ def test_anycast_fails_over_when_home_region_is_partitioned():
 
 
 def test_failover_disabled_strands_partitioned_clients():
-    dep = RegionalDeployment(
+    dep = Deployment(
         _spec(failover=False,
               web_workload=WebWorkloadConfig(clients_per_host=4,
                                              think_time=1.0,
@@ -121,7 +127,7 @@ def test_failover_disabled_strands_partitioned_clients():
 
 
 def test_partition_drops_are_tagged_by_site_pair_and_cause():
-    dep = RegionalDeployment(_spec(), fault_plan=_partition_plan())
+    dep = Deployment(_spec(), fault_plan=_partition_plan())
     dep.start()
     dep.run(until=20.0)
     net = dep.metrics.scoped_counters("net")

@@ -12,18 +12,31 @@ for figure-scale sweeps at all.
 
 import pytest
 
+from repro.clients.mqtt import MqttWorkloadConfig
+from repro.clients.web import WebWorkloadConfig
+from repro.cluster import Deployment, DeploymentSpec
 from repro.faults import builtin_plan
-from repro.regions import RegionalSpec
 from repro.run_context import RunContext, run_context
 from repro.shard import ShardPlan, run_sharded
 
 HORIZON = 30.0
 
 
-def _spec(seed: int, regions: int = 2) -> RegionalSpec:
-    return RegionalSpec(
+def _spec(seed: int, regions: int = 2) -> DeploymentSpec:
+    return DeploymentSpec(
         seed=seed,
         regions=regions,
+        edge_proxies=3,
+        origin_proxies=2,
+        app_servers=2,
+        brokers=1,
+        web_client_hosts=1,
+        mqtt_client_hosts=1,
+        web_workload=WebWorkloadConfig(clients_per_host=6, think_time=1.0,
+                                       request_timeout=8.0),
+        mqtt_workload=MqttWorkloadConfig(users_per_host=5,
+                                         keepalive_timeout=20.0),
+        quic_workload=None,
         failover=False,
         local_broker_homing=True,
         partition_network_rng=True,
@@ -57,9 +70,7 @@ def test_plan_rejects_bad_shard_counts():
 
 
 def test_starting_an_unknown_region_fails_loudly():
-    from repro.regions import RegionalDeployment
-
-    deployment = RegionalDeployment(_spec(0))
+    deployment = Deployment(_spec(0))
     deployment.start(only_regions=["nowhere"])
     with pytest.raises(KeyError):
         deployment.env.run(until=1.0)

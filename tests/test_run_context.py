@@ -13,7 +13,6 @@ from repro.cluster.deployment import Deployment
 from repro.cluster.spec import DeploymentSpec
 from repro.lb.katran import KatranConfig
 from repro.ops.load import LoadShapeConfig
-from repro.regions import RegionalDeployment, RegionalSpec
 from repro.resilience import ResilienceConfig
 from repro.run_context import RunContext, current_run, knob, run_context
 
@@ -27,9 +26,10 @@ def _cluster(**spec_kwargs):
 
 
 def _regional(**spec_kwargs):
-    return RegionalDeployment(RegionalSpec(
-        seed=0, regions=2, proxies_per_pop=2, l4lbs_per_pop=2,
-        web_clients_per_pop=0, mqtt_users_per_pop=0, **spec_kwargs))
+    return Deployment(DeploymentSpec(
+        seed=0, regions=2, edge_proxies=2, l4lbs_per_pop=2,
+        origin_proxies=2, app_servers=2, brokers=1, web_workload=None,
+        mqtt_workload=None, quic_workload=None, **spec_kwargs))
 
 
 BUILDERS = {"cluster": _cluster, "regional": _regional}
