@@ -88,6 +88,9 @@ class AppServer:
         #: Invariant-checking hook (repro.invariants); ``None`` keeps the
         #: hot paths to a single attribute read.
         self.invariant_tap = None
+        #: The repro.cluster.Deployment that built this server (None for
+        #: a hand-built one); releases notify it when they walk us.
+        self.deployment = None
         #: Sim time the current drain began (None while serving).
         self.drain_started_at: Optional[float] = None
         #: Drain-aware concurrency gate (None = shedding disabled).

@@ -174,7 +174,6 @@ class Deployment:
         splice_config = knob("splice", spec.splice)
         if splice_config is not None and splice_config.enabled:
             self.splice = SpliceGovernor(self.env, splice_config)
-            self.splice.attach(self)
             # Bound-handle rule: relays and clients reach the governor
             # through the registry they already hold.
             self.metrics.splice = self.splice
@@ -281,6 +280,7 @@ class Deployment:
                               spec.app_cores, spec.app_core_speed)
             region.app_hosts.append(host)
             server = AppServer(host, app_config)
+            server.deployment = self
             region.app_servers.append(server)
             region.app_pool.add(server)
         context = ProxyTierContext(app_pool=region.app_pool,
@@ -298,9 +298,11 @@ class Deployment:
             host = self._host(f"{prefix}origin-proxy-{i}", site,
                               spec.proxy_cores, spec.proxy_core_speed)
             region.origin_hosts.append(host)
-            region.origin_servers.append(ProxygenServer(
+            server = ProxygenServer(
                 host, origin_config, context,
-                vips=[VIP("https", self.origin_vip, Protocol.TCP)]))
+                vips=[VIP("https", self.origin_vip, Protocol.TCP)])
+            server.deployment = self
+            region.origin_servers.append(server)
         host = self._host(f"{prefix}origin-katran", site,
                           spec.app_cores, spec.app_core_speed)
         region.origin_katran = Katran(
@@ -368,10 +370,12 @@ class Deployment:
             pop.route = pop.l4lbs[0].route
 
     def _edge_server(self, host: Host, region: Region) -> ProxygenServer:
-        return ProxygenServer(
+        server = ProxygenServer(
             host, self._edge_config, region.edge_context,
             vips=[VIP(v.name, v.endpoint, v.protocol)
                   for v in self._edge_vips])
+        server.deployment = self
+        return server
 
     def _build_clients(self) -> None:
         """Every PoP's users: links, anycast resolver, populations."""
@@ -494,6 +498,7 @@ class Deployment:
         host = self._host(name, region.origin_site, spec.app_cores,
                           spec.app_core_speed)
         server = AppServer(host, self._app_config)
+        server.deployment = self
         if self.invariant_suite is not None:
             server.invariant_tap = self.invariant_suite
         region.app_hosts.append(host)
@@ -604,6 +609,23 @@ class Deployment:
     def run(self, until: float) -> None:
         """Advance the simulation to time ``until``."""
         self.env.run(until=until)
+
+    # -- mechanism windows ---------------------------------------------------
+
+    def notify_release(self, phase: str, release) -> None:
+        """A release walking our servers began (``"begin"``) or ended
+        (``"end"``).  The fan-out order is fixed — splice, invariants,
+        trace, cohorts — so same-tick events keep their order."""
+        if self.splice is not None:
+            self.splice.on_release(phase)
+        if self.invariant_suite is not None:
+            self.invariant_suite.on_release(phase, release)
+        tracing = self.metrics.tracing
+        if tracing is not None:
+            tracing.event(f"release_{phase}", scope=release.name,
+                          targets=len(release.targets))
+        if self.cohort_set is not None:
+            self.cohort_set.on_release(phase)
 
     # -- aggregate views -----------------------------------------------------
 

@@ -18,21 +18,19 @@ a parallel reimplementation):
 
 The :class:`CohortSet` is the deployment-facing bundle: it starts the
 drivers, fans ``rate_scale`` updates from the
-:class:`repro.ops.load.LoadController` into every lane, and registers a
-release observer so takeover/DCR/PPR windows (which live inside release
-walks) trigger condensation on aggregate cohorts.
+:class:`repro.ops.load.LoadController` into every lane, and hears the
+deployment's release walks so takeover/DCR/PPR windows (which live
+inside release walks) trigger condensation on aggregate cohorts.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import replace
 from typing import Optional
 
 from ..clients.mqtt import MqttClientPopulation
 from ..clients.quic import QuicClientPopulation
 from ..clients.web import WebClientPopulation
-from ..release import orchestrator as release_orchestrator
 from .aggregate import CohortAggregate
 from .spec import CohortPolicy, CohortSpec
 
@@ -173,16 +171,18 @@ class CohortSet:
         self.drivers = drivers
         self.policy = policy
         self.counters = deployment.metrics.scoped_counters("cohorts")
-        self._observer = None
+        #: Whether release walks condense aggregate cohorts; armed by
+        #: :meth:`start`.
+        self._condensing = False
 
     def start(self, drivers: list[CohortDriver]) -> None:
         """Start ``drivers``: every cohort, or a shard worker's regions'
         cohorts only (repro.shard)."""
         for driver in drivers:
             driver.start()
-        if (self.policy.condense_per_event > 0
-                and any(d.fidelity == "aggregate" for d in self.drivers)):
-            self._install_observer()
+        self._condensing = (
+            self.policy.condense_per_event > 0
+            and any(d.fidelity == "aggregate" for d in self.drivers))
 
     # -- views -----------------------------------------------------------
 
@@ -199,35 +199,10 @@ class CohortSet:
 
     # -- condensation trigger --------------------------------------------
 
-    def _install_observer(self) -> None:
-        """Watch the release orchestrator for walks touching us.
-
-        The observer holds only a weak reference: once the deployment
-        (and with it this set) is garbage, the next release event
-        unhooks the observer — module-global observer lists must not
-        accumulate dead sets across the hundreds of runs one test
-        process performs.
-        """
-        ref = weakref.ref(self)
-
-        def observer(phase: str, release) -> None:
-            cohort_set = ref()
-            if cohort_set is None:
-                release_orchestrator.remove_release_observer(observer)
-                return
-            cohort_set._on_release(phase, release)
-
-        self._observer = observer
-        release_orchestrator.add_release_observer(observer)
-
-    def _on_release(self, phase: str, release) -> None:
-        if phase != "begin":
-            return
-        deployment = self.deployment
-        ours = {id(s) for s in (deployment.edge_servers
-                                + deployment.origin_servers
-                                + deployment.app_servers)}
-        if not any(id(target) in ours for target in release.targets):
+    def on_release(self, phase: str) -> None:
+        """A release walk over this deployment began or ended (the
+        deployment calls this; see ``Deployment.notify_release``)."""
+        if phase != "begin" or not self._condensing:
             return
         condensed = 0
         for driver in self.drivers:

@@ -141,7 +141,7 @@ def run_scenario(scenario: Scenario,
         suite.attach()
         # Tail-only tracing: no head sampling, keep errored/flagged
         # requests — exactly what a repro file wants to embed.
-        collector = trace_runtime.install(
+        collector = trace_runtime.attach(
             deployment, TraceConfig(sample_rate=0.0, keep_errors=True))
         deployment.start()
         releases: list[RollingRelease] = []
@@ -150,8 +150,6 @@ def run_scenario(scenario: Scenario,
                 _drive_release(deployment, entry, releases))
         deployment.run(until=scenario.duration)
         violations = suite.finalize()
-        if collector is not None:
-            trace_runtime.uninstall(collector)
 
     # Aggregated over every web population, so single- and multi-region
     # deployments report through the same keys.
@@ -181,7 +179,7 @@ def run_scenario(scenario: Scenario,
              "targets": list(r.targets)}
             for r in deployment.fault_injector.records]
     trace = None
-    if violations and collector is not None:
+    if violations:
         trace = collector.to_dict()
     return FuzzRunResult(scenario=scenario, violations=violations,
                          stats=stats, trace=trace)

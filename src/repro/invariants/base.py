@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..release import orchestrator as release_orchestrator
-
 __all__ = ["InvariantChecker", "InvariantSuite", "InvariantViolation"]
 
 
@@ -116,18 +114,14 @@ class InvariantSuite:
             server.invariant_tap = self
         for server in deployment.app_servers:
             server.invariant_tap = self
-        release_orchestrator.add_release_observer(self._on_release)
         self.env.process(self._sample_loop())
         return self
 
-    def _on_release(self, phase: str, release) -> None:
-        """Orchestrator hook: only releases touching *our* components."""
-        ours = {id(s) for s in (self.deployment.edge_servers
-                                + self.deployment.origin_servers
-                                + self.deployment.app_servers)}
-        if not any(id(target) in ours for target in release.targets):
-            return
-        self.record(f"release_{phase}", release=release)
+    def on_release(self, phase: str, release) -> None:
+        """A release walking our deployment began or ended (the
+        deployment calls this; see ``Deployment.notify_release``)."""
+        if not self._finalized:
+            self.record(f"release_{phase}", release=release)
 
     def _sample_loop(self):
         while True:
@@ -149,7 +143,6 @@ class InvariantSuite:
         """Run the end-of-run passes; detach; return all violations."""
         if not self._finalized:
             self._finalized = True
-            release_orchestrator.remove_release_observer(self._on_release)
             for checker in self.checkers:
                 checker.finalize()
         return self.violations

@@ -14,32 +14,37 @@ from typing import Optional
 
 from .base import InvariantSuite, InvariantViolation
 
-__all__ = ["install", "drain", "active_suites", "set_enabled"]
-
-_suites: list[InvariantSuite] = []
-_enabled = True
+__all__ = ["install", "adopt", "drain", "active_suites"]
 
 
-def set_enabled(enabled: bool) -> bool:
-    """Globally toggle always-on installation; returns the old value."""
-    global _enabled
-    previous = _enabled
-    _enabled = enabled
-    return previous
+class FinishedSuite:
+    """The verdict of a suite that ran and finalized elsewhere (a forked
+    shard worker, see :mod:`repro.shard`); drained like a local suite."""
+
+    def __init__(self, violations: list[InvariantViolation]):
+        self.violations = violations
+
+    def finalize(self) -> list[InvariantViolation]:
+        return self.violations
 
 
-def install(deployment, checkers: Optional[list] = None
-            ) -> Optional[InvariantSuite]:
+_suites: list = []
+
+
+def install(deployment, checkers: Optional[list] = None) -> InvariantSuite:
     """Attach a fresh suite to ``deployment`` and register it for drain."""
-    if not _enabled:
-        return None
     suite = InvariantSuite(deployment, checkers=checkers)
     suite.attach()
     _suites.append(suite)
     return suite
 
 
-def active_suites() -> list[InvariantSuite]:
+def adopt(violations: list[InvariantViolation]) -> None:
+    """Register a finished suite's ``violations`` for :func:`drain`."""
+    _suites.append(FinishedSuite(violations))
+
+
+def active_suites() -> list:
     return list(_suites)
 
 

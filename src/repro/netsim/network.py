@@ -15,6 +15,7 @@ restored bit-identically once the last override pops.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -93,6 +94,12 @@ class Network:
         self._link_overrides: dict[tuple[str, str],
                                    list[tuple[int, Callable]]] = {}
         self._override_serial = 0
+        #: The deployment's id spaces for the two ids the simulation
+        #: reads: HTTP request ids (PPR exactly-once keys, app servers'
+        #: in-flight posts) and QUIC connection ids (QuicStateTable
+        #: keys).  Unique within one network, fresh for every run.
+        self.request_ids = itertools.count(1)
+        self.connection_ids = itertools.count(0x1000)
 
     # -- topology ------------------------------------------------------------
 

@@ -8,18 +8,15 @@ delay and experiments can count bandwidth.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .addresses import FourTuple
 
 __all__ = ["Datagram", "StreamMessage", "ControlType", "StreamControl"]
 
-_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class Datagram:
     """A UDP datagram in flight."""
 
@@ -28,16 +25,14 @@ class Datagram:
     size: int = 100
     #: Optional connection id (QUIC-style) readable by user-space routers.
     connection_id: Optional[int] = None
-    id: int = field(default_factory=lambda: next(_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class StreamMessage:
     """One application message on an established TCP connection."""
 
     payload: Any
     size: int = 100
-    id: int = field(default_factory=lambda: next(_ids))
 
 
 class ControlType:
@@ -47,9 +42,8 @@ class ControlType:
     RST = "RST"
 
 
-@dataclass
+@dataclass(eq=False)
 class StreamControl:
     """A FIN or RST delivered in-order on a connection's receive queue."""
 
     kind: str
-    id: int = field(default_factory=lambda: next(_ids))

@@ -3,45 +3,16 @@
 Two suites need to prove that independently-built runs are *identical*,
 not statistically close: ``tests/perf`` (optimized kernel vs the frozen
 reference) and ``tests/cohorts`` (individual clients vs the condensed
-cohort rung).  Both comparisons need the same two ingredients, kept
-here so they cannot drift apart:
-
-* :func:`reset_id_allocators` — module-global ID counters (request ids,
-  connection ids, packet ids...) are cosmetic but leak monotonically
-  across runs within one process; resetting them before each run makes
-  trace and snapshot comparisons exact instead of requiring
-  ID-normalization;
-* :func:`full_snapshot` — every metric a run produced, plus the
-  kernel's clock and event count, as one comparable dict.
+cohort rung).  Both compare :func:`full_snapshot` — every metric a run
+produced, plus the kernel's clock and event count, as one comparable
+dict — kept here so the two cannot drift apart.  No rewinding is needed
+between runs: the ids the simulation reads are numbered per deployment
+(``Network.request_ids`` / ``Network.connection_ids``).
 """
 
 from __future__ import annotations
 
-import importlib
-import itertools
-
-__all__ = ["ID_ALLOCATORS", "full_snapshot", "reset_id_allocators"]
-
-#: (module, attribute, start) for every module-global ID allocator.
-ID_ALLOCATORS = [
-    ("repro.protocols.http", "_request_ids", 1),
-    ("repro.protocols.tls", "_ids", 1),
-    ("repro.protocols.quic", "_cid_counter", 0x1000),
-    ("repro.protocols.quic", "_packet_numbers", 1),
-    ("repro.protocols.http2", "_frame_ids", 1),
-    ("repro.protocols.mqtt", "_packet_ids", 1),
-    ("repro.netsim.process", "_pids", 100),
-    ("repro.netsim.sockets", "_conn_ids", 1),
-    ("repro.netsim.packet", "_ids", 1),
-]
-
-
-def reset_id_allocators() -> None:
-    """Rewind every module-global ID allocator to its import-time value."""
-    for module_name, attr, start in ID_ALLOCATORS:
-        module = importlib.import_module(module_name)
-        assert hasattr(module, attr), f"{module_name}.{attr} moved"
-        setattr(module, attr, itertools.count(start))
+__all__ = ["full_snapshot"]
 
 
 def full_snapshot(deployment) -> dict:

@@ -16,7 +16,6 @@ Two layers live here:
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -59,12 +58,14 @@ PARTIAL_POST_STATUS_MESSAGE = "PartialPOST"
 #: proxy can rebuild the original request (§5.2, "pseudo echo path").
 PSEUDO_ECHO_PREFIX = "pseudo-echo-"
 
-_request_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class HttpRequest:
-    """An HTTP request as carried through the simulation."""
+    """An HTTP request as carried through the simulation.
+
+    Equality is identity: a replayed clone is the same *logical* request
+    (same ``id``) but a different message.
+    """
 
     method: str
     path: str
@@ -76,12 +77,13 @@ class HttpRequest:
     #: True when the body arrives as separate BodyChunk messages.
     streaming: bool = False
     user_id: Optional[int] = None
-    id: int = field(default_factory=lambda: next(_request_ids))
+    #: Unique within one deployment: clients draw it from their
+    #: network's ``request_ids``.  Hand-built requests default to 0.
+    id: int = 0
     #: Trace context (a ``repro.trace.Span``), or None when untraced.
     #: Each hop re-points this at its own span before forwarding, so
-    #: the next tier parents correctly.  Excluded from comparison: two
-    #: requests are the same request whether or not they were sampled.
-    trace: Any = field(default=None, repr=False, compare=False)
+    #: the next tier parents correctly.
+    trace: Any = field(default=None, repr=False)
 
     @property
     def pseudo_headers(self) -> dict[str, str]:

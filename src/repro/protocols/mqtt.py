@@ -18,7 +18,6 @@ infrastructure tiers* (not visible to end users):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -33,10 +32,8 @@ MQTT_CONNECT_SIZE = 120
 MQTT_PUBLISH_BASE_SIZE = 60
 MQTT_PING_SIZE = 16
 
-_packet_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class MqttConnect:
     """CONNECT from an end-user client; ``user_id`` is the globally
     unique id used for broker consistent-hashing (§4.2)."""
@@ -44,22 +41,20 @@ class MqttConnect:
     user_id: int
     client_id: str = ""
     clean_session: bool = False
-    id: int = field(default_factory=lambda: next(_packet_ids))
     #: Trace context (a ``repro.trace.Span``) carried tier to tier so
     #: tunnel spans parent under the client session span.
-    trace: Any = field(default=None, repr=False, compare=False)
+    trace: Any = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class MqttConnAck:
     """CONNACK from the broker."""
 
     user_id: int
     session_present: bool = False
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class MqttPublish:
     """PUBLISH in either direction."""
 
@@ -67,61 +62,54 @@ class MqttPublish:
     topic: str
     seq: int
     size: int = MQTT_PUBLISH_BASE_SIZE
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class MqttPingReq:
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class MqttPingResp:
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class MqttDisconnect:
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 # ---------------------------------------------------------------------------
 # DCR control plane (infrastructure-internal, never sent to end users)
 # ---------------------------------------------------------------------------
 
-@dataclass
+
+@dataclass(eq=False)
 class ReconnectSolicitation:
     """Origin proxy → Edge proxy: "I am restarting; re-home tunnels"."""
 
     origin_instance: str
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class ReConnect:
     """Edge proxy → Origin tier: splice this user to its broker."""
 
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
     #: Trace context of the tunnel being rehomed (DCR §4.2).
-    trace: Any = field(default=None, repr=False, compare=False)
+    trace: Any = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConnectAck:
     """Broker accepted the re-connect: session context found."""
 
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class ConnectRefuse:
     """Broker refused: no session context; client must reconnect."""
 
     user_id: int
     reason: str = "no_session"
-    id: int = field(default_factory=lambda: next(_packet_ids))

@@ -15,8 +15,7 @@ on both peers.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,22 +28,17 @@ __all__ = ["TlsClientHello", "TlsServerDone", "client_handshake",
 TLS_HELLO_SIZE = 320
 TLS_SERVER_FLIGHT_SIZE = 2800
 
-_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class TlsClientHello:
     """First flight from the client."""
 
     resumption: bool = False
-    id: int = field(default_factory=lambda: next(_ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class TlsServerDone:
     """Server certificate + finished flight (collapsed)."""
-
-    id: int = field(default_factory=lambda: next(_ids))
 
 
 def client_handshake(conn: "TcpEndpoint", cpu: "CpuModel",

@@ -52,6 +52,9 @@ class ProxygenServer:
         #: Invariant-checking hook (repro.invariants); ``None`` keeps the
         #: hot paths to a single attribute read.
         self.invariant_tap = None
+        #: The repro.cluster.Deployment that built this server (None for
+        #: a hand-built one); releases notify it when they walk us.
+        self.deployment = None
         #: The machine-scoped resilience state (breakers, budgets,
         #: admission) — survives generation handovers so a takeover does
         #: not forget which upstreams were misbehaving.

@@ -24,31 +24,7 @@ from ..run_context import knob
 from ..simkernel.core import Environment
 from ..simkernel.events import AllOf, Interrupt
 
-__all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig",
-           "add_release_observer", "remove_release_observer"]
-
-# Module-level observers, notified as ``cb(phase, release)`` with phase
-# in {"begin", "end"}.  Observers (the invariant suites) register here
-# because releases are constructed ad hoc by experiments and tests —
-# there is no central object to hang a hook on.  An observer never sees
-# a release it does not care about twice: "end" fires exactly once per
-# execute(), on every exit path.
-_observers: list = []
-
-
-def add_release_observer(callback) -> None:
-    if callback not in _observers:
-        _observers.append(callback)
-
-
-def remove_release_observer(callback) -> None:
-    if callback in _observers:
-        _observers.remove(callback)
-
-
-def _notify(phase: str, release: "RollingRelease") -> None:
-    for callback in list(_observers):
-        callback(phase, release)
+__all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig"]
 
 
 @dataclass
@@ -115,6 +91,11 @@ class RollingRelease:
 
     A target is anything exposing ``release()`` (ProxygenServer) or
     ``restart()`` (AppServer) as a simulation generator.
+
+    Each deployment owning a target (the target's ``deployment``
+    attribute, set by :class:`repro.cluster.Deployment`) hears the walk
+    begin and end — once per phase, on every exit path of
+    :meth:`execute`.  Targets without an owner notify nobody.
     """
 
     def __init__(self, env: Environment, targets: Sequence,
@@ -164,6 +145,16 @@ class RollingRelease:
     def _target_name(target) -> str:
         return getattr(target, "name", repr(target))
 
+    def _notify(self, phase: str) -> None:
+        """Tell each distinct owning deployment, in target order."""
+        owners = []
+        for target in self.targets:
+            owner = getattr(target, "deployment", None)
+            if owner is not None and owner not in owners:
+                owners.append(owner)
+        for owner in owners:
+            owner.notify_release(phase, self)
+
     def execute(self):
         """Generator: run the release to completion (or abort)."""
         config = self.config
@@ -175,7 +166,7 @@ class RollingRelease:
             factory = knob("release_gate")
             if factory is not None:
                 gate = factory(self)
-        _notify("begin", self)
+        self._notify("begin")
         try:
             # Walk the fleet in fixed order, batch_size at a time.
             for index, start in enumerate(range(0, len(self.targets),
@@ -210,7 +201,7 @@ class RollingRelease:
                     yield self.env.timeout(config.inter_batch_gap)
             self.finished_at = self.env.now
         finally:
-            _notify("end", self)
+            self._notify("end")
 
     def _run_batch(self, batch, record: BatchRecord):
         """Generator: one batch through up to ``max_attempts`` rounds."""

@@ -14,6 +14,7 @@ import multiprocessing
 from typing import Optional
 
 from ..cluster import Deployment, DeploymentSpec
+from ..invariants import InvariantSuite, InvariantViolation
 from ..invariants import runtime as invariant_runtime
 from ..run_context import current_run
 from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
@@ -26,16 +27,17 @@ def _run_one(spec: DeploymentSpec, until: float,
     """Build, start (a subset of) and run one deployment; return its
     report dict.  Runs in-process for the 1-shard arm and inside a
     forked worker for every sharded arm — one code path, so the
-    differential compares like with like."""
+    differential compares like with like.  The suite's verdict travels
+    in the report; :func:`run_sharded` registers it with the caller."""
     deployment = Deployment(spec)
-    suite = (invariant_runtime.install(deployment)
+    suite = (InvariantSuite(deployment).attach()
              if check_invariants else None)
     deployment.start(only_regions=region_names)
     deployment.env.run(until=until)
     violations = suite.finalize() if suite is not None else []
     return {
         "counters": counters_snapshot(deployment.metrics),
-        "violations": sorted((v.checker, v.message) for v in violations),
+        "violations": [(v.at, v.checker, v.message) for v in violations],
         "stats": {"events": deployment.env._eid,
                   "now": deployment.env._now},
     }
@@ -44,10 +46,6 @@ def _run_one(spec: DeploymentSpec, until: float,
 def _worker_main(pipe, spec, until: float, region_names: list,
                  check_invariants: bool) -> None:
     try:
-        # The fork inherited the parent's module state: drop any suites
-        # a previous parent run registered (they belong to deployments
-        # this worker never sees) before installing our own.
-        invariant_runtime.drain()
         reads = current_run().reads
         before = reads.copy()
         report = _run_one(spec, until, region_names, check_invariants)
@@ -112,8 +110,15 @@ def run_sharded(spec: DeploymentSpec, until: float, shards: int = 1,
                 reports.append(payload)
         if failures:
             raise RuntimeError("; ".join(failures))
-    violations = sorted(v for report in reports
-                        for v in report["violations"])
+    # Each shard's suite counts as a suite of this run, wherever it ran:
+    # the caller's drain() sees one verdict per shard, either way.
+    if check_invariants:
+        for report in reports:
+            invariant_runtime.adopt([
+                InvariantViolation(checker=checker, message=message, at=at)
+                for at, checker, message in report["violations"]])
+    violations = sorted((checker, message) for report in reports
+                        for _, checker, message in report["violations"])
     return ShardResult(
         counters=merge_counters([r["counters"] for r in reports]),
         violations=violations,

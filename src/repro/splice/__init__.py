@@ -37,18 +37,17 @@ The governor deliberately keeps its own statistics as plain integers
 snapshot of a splice-on run must stay bit-identical to the splice-off
 run, so the fast path may not leave fingerprints there.
 
-Observer wiring reuses the condensation pattern of
-:mod:`repro.cohorts.drivers`: module-global observer lists hold only a
-weak reference to the governor, so dead deployments unhook themselves.
+The governor hears only about its own deployment: the deployment hands
+it the release walks that target its servers
+(:meth:`~repro.cluster.deployment.Deployment.notify_release`), and the
+deployment's fault injector opens and closes fault windows directly.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
-from ..release import orchestrator as release_orchestrator
 from ..simkernel.events import AnyOf
 
 __all__ = ["SpliceConfig", "SpliceGovernor"]
@@ -92,8 +91,6 @@ class SpliceGovernor:
         self.chunks_elided = 0
         self.desplices = 0
         self.relay_fastpath = 0
-        self._deployment_ref = None
-        self._release_observer = None
 
     # -- hot-path hooks ----------------------------------------------------
 
@@ -176,52 +173,9 @@ class SpliceGovernor:
             self._suspended[kind] = count
         self.engaged = self.enabled and not self._suspended
 
-    # -- observer wiring ---------------------------------------------------
-
-    def attach(self, deployment) -> "SpliceGovernor":
-        """Watch release walks and fault windows touching ``deployment``."""
-        self._deployment_ref = weakref.ref(deployment)
-        ref = weakref.ref(self)
-
-        def release_observer(phase: str, release) -> None:
-            governor = ref()
-            if governor is None:
-                release_orchestrator.remove_release_observer(
-                    release_observer)
-                return
-            governor._on_release(phase, release)
-
-        self._release_observer = release_observer
-        release_orchestrator.add_release_observer(release_observer)
-
-        from ..faults import injector as fault_injector
-
-        def fault_observer(phase: str, record) -> None:
-            governor = ref()
-            if governor is None:
-                fault_injector.remove_fault_observer(fault_observer)
-                return
-            governor._on_fault(phase)
-
-        fault_injector.add_fault_observer(fault_observer)
-        return self
-
-    def _on_release(self, phase: str, release) -> None:
-        deployment = (self._deployment_ref()
-                      if self._deployment_ref is not None else None)
-        if deployment is not None:
-            ours = {id(s) for s in (deployment.edge_servers
-                                    + deployment.origin_servers
-                                    + deployment.app_servers)}
-            if not any(id(target) in ours for target in release.targets):
-                return
+    def on_release(self, phase: str) -> None:
+        """A release walk over this deployment began or ended."""
         if phase == "begin":
             self.suspend("release")
         elif phase == "end":
             self.resume("release")
-
-    def _on_fault(self, phase: str) -> None:
-        if phase == "inject":
-            self.suspend("fault")
-        elif phase == "clear":
-            self.resume("fault")

@@ -30,7 +30,6 @@ from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy
 from repro.experiments.common import build_deployment
 from repro.invariants import runtime as invariant_runtime
-from repro.perf.differential import reset_id_allocators
 from repro.proxygen.config import ProxygenConfig
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.resilience import ResilienceConfig
@@ -143,7 +142,6 @@ def _client_totals(deployment, prefix):
 
 
 def _run_case(case, cohorts):
-    reset_id_allocators()
     deployment = build_deployment(cohorts=cohorts, **case.build)
     if case.stress is not None:
         deployment.run(until=case.stress_at)

@@ -31,7 +31,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy, modeled
 from repro.experiments.common import build_deployment
 from repro.invariants import runtime as invariant_runtime
-from repro.perf.differential import full_snapshot, reset_id_allocators
+from repro.perf.differential import full_snapshot
 from repro.proxygen.config import ProxygenConfig
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 
@@ -53,7 +53,6 @@ LATENCY_QUANTILES = ("client/get_latency", "client/post_latency")
 
 def _run(seed, cohorts=None, duration=16.0):
     """One figure-shaped run; returns (deployment, snapshot, verdicts)."""
-    reset_id_allocators()
     deployment = build_deployment(
         seed=seed,
         edge_proxies=3,

@@ -80,7 +80,7 @@ def test_release_boundary_triggers_condensation():
                           condense_per_event=2)
     deployment = _deployment(policy)
     deployment.start()
-    deployment.run(until=5.0)  # past boot: the release observer is live
+    deployment.run(until=5.0)  # past boot: the cohort set hears releases
     release = RollingRelease(deployment.env, deployment.edge_servers[:1],
                              RollingReleaseConfig(batch_fraction=1.0))
     deployment.env.process(release.execute())

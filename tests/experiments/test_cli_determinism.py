@@ -5,8 +5,8 @@ through the real ``python -m repro.experiments`` entry point (shell
 ``diff`` of the captured stdout).  That check only runs on CI machines;
 these tests run the identical comparison in-process via ``main()`` and
 ``capsys``, so `pytest` alone catches a determinism regression — a
-stray wall-clock read, an unseeded RNG, an ID allocator bleeding into
-printed output — before it lands.
+stray wall-clock read, an unseeded RNG, state one run leaves behind
+for the next — before it lands.  Nothing is reset between the runs.
 
 Only the ``(X.Xs wall)`` timing line is stripped (the one intentional
 wall-clock read); everything else must match byte for byte, including
@@ -24,7 +24,6 @@ import pytest
 import repro
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import main
-from repro.perf.differential import reset_id_allocators
 from repro.run_context import RunContext, current_run
 
 #: The deliberately-nondeterministic output: the wall-time footer.
@@ -32,7 +31,6 @@ _WALL = re.compile(r"^\s*\(\d+\.\d+s wall\)\s*$", re.MULTILINE)
 
 
 def _run_cli(argv, capsys):
-    reset_id_allocators()
     code = main(argv)
     out = capsys.readouterr().out
     return code, _WALL.sub("", out)
@@ -68,6 +66,17 @@ def test_cli_invariant_line_says_whether_checkers_ran(figure, line, capsys):
     other = ({"invariants: all checkers clean",
               "invariants: no checkers installed"} - {line}).pop()
     assert other not in out
+
+
+def test_shardscale_output_does_not_depend_on_the_shard_count(capsys):
+    # The CI shard-smoke diff: suites that ran in forked workers count
+    # like the in-process one, so both arms say "all checkers clean".
+    _, one = _run_cli(["shardscale", "--no-plots", "--shards", "1"], capsys)
+    _, two = _run_cli(["shardscale", "--no-plots", "--shards", "2"], capsys)
+    shards = re.compile(r"^\s*param shards = \d+\n", re.MULTILINE)
+    assert "param shards = 2" in two
+    assert shards.sub("", one) == shards.sub("", two)
+    assert "invariants: all checkers clean" in two
 
 
 # -- run isolation: nothing a run sets outlives it ----------------------------

@@ -151,14 +151,6 @@ def test_runtime_install_and_drain():
     assert invariant_runtime.active_suites() == []
 
 
-def test_runtime_can_be_disabled():
-    previous = invariant_runtime.set_enabled(False)
-    try:
-        assert invariant_runtime.install(Deployment(_tiny_spec())) is None
-    finally:
-        invariant_runtime.set_enabled(previous)
-
-
 # -- planted faults are caught ----------------------------------------------
 
 

@@ -27,7 +27,7 @@ from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import generate_scenario
 from repro.invariants import checkers as checkers_mod
 from repro.invariants.base import InvariantChecker
-from repro.perf.differential import full_snapshot, reset_id_allocators
+from repro.perf.differential import full_snapshot
 from repro.simkernel.reference import Environment as ReferenceEnvironment
 
 #: ≥25 seeded scenarios, as the differential-coverage floor requires.
@@ -74,7 +74,6 @@ def _register_trace_checker():
 def run_fuzz(seed: int, env=None):
     scenario = dataclasses.replace(generate_scenario(seed),
                                    duration=DURATION)
-    reset_id_allocators()
     TraceChecker.trace = []
     TraceChecker.snapshot = {}
     result = run_scenario(scenario, checkers=["_trace"], env=env)
@@ -121,7 +120,6 @@ def _figure_deployment(env=None):
     from repro.release.orchestrator import (RollingRelease,
                                             RollingReleaseConfig)
 
-    reset_id_allocators()
     deployment = build_deployment(
         seed=5,
         edge_proxies=4,

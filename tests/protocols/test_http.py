@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.netsim import Network
 from repro.protocols import (
     ChunkedDecoder,
     ChunkedEncoder,
@@ -15,12 +16,19 @@ from repro.protocols import (
     is_valid_ppr_response,
     recover_pseudo_headers,
 )
+from repro.simkernel import Environment, RandomStreams
 
 
 def test_request_ids_unique():
-    a = HttpRequest("GET", "/")
-    b = HttpRequest("GET", "/")
-    assert a.id != b.id
+    # Clients number requests from their network's counter: unique
+    # within one deployment, restarting at 1 for the next.
+    first = Network(Environment(), RandomStreams(0))
+    a = HttpRequest("GET", "/", id=next(first.request_ids))
+    b = HttpRequest("GET", "/", id=next(first.request_ids))
+    assert (a.id, b.id) == (1, 2)
+    assert a != b
+    second = Network(Environment(), RandomStreams(0))
+    assert next(second.request_ids) == 1
 
 
 def test_clone_for_replay_keeps_identity():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import Endpoint
+from repro.netsim import Endpoint, Network
 from repro.protocols import (
     ConnectAck,
     ConnectRefuse,
@@ -15,18 +15,19 @@ from repro.protocols import (
     ReconnectSolicitation,
     TlsClientHello,
     TlsServerDone,
-    allocate_connection_id,
     client_handshake,
     server_handle_hello,
 )
+from repro.simkernel import Environment, RandomStreams
 
 
 # -- MQTT -------------------------------------------------------------------
 
-def test_mqtt_packet_ids_unique():
+def test_mqtt_messages_compare_by_identity():
     a = MqttConnect(user_id=1)
     b = MqttConnect(user_id=1)
-    assert a.id != b.id
+    assert a != b
+    assert a == a
 
 
 def test_mqtt_publish_defaults():
@@ -45,14 +46,19 @@ def test_dcr_messages_carry_user_ids():
 # -- QUIC -------------------------------------------------------------------
 
 def test_connection_ids_unique():
-    ids = {allocate_connection_id() for _ in range(100)}
+    # Numbered per network (one per deployment), from the same start.
+    first = Network(Environment(), RandomStreams(0))
+    second = Network(Environment(), RandomStreams(0))
+    ids = {next(first.connection_ids) for _ in range(100)}
     assert len(ids) == 100
+    assert min(ids) == next(second.connection_ids) == 0x1000
 
 
-def test_quic_packet_numbers_increase():
+def test_quic_packets_compare_by_identity():
     a = QuicPacket(connection_id=1)
     b = QuicPacket(connection_id=1)
-    assert b.packet_number > a.packet_number
+    assert a != b
+    assert a == a
 
 
 def test_state_table_ownership():

@@ -397,15 +397,17 @@ def test_hardening_config_validated():
             env.run(until=env.process(release.execute()))
 
 
-# -- observers: "end" fires exactly once on every exit path -----------------
+# -- owners: "end" reaches the owning deployment once on every exit path ----
 
 
 class _Observer:
+    """Stands in for the deployment that owns the targets."""
+
     def __init__(self):
         self.begins = []
         self.ends = []
 
-    def __call__(self, phase, release):
+    def notify_release(self, phase, release):
         if phase == "begin":
             self.begins.append(release)
         elif phase == "end":
@@ -413,21 +415,31 @@ class _Observer:
 
 
 def _observed(env, release, expect_raises=None):
-    from repro.release.orchestrator import (add_release_observer,
-                                            remove_release_observer)
-
     observer = _Observer()
-    add_release_observer(observer)
-    try:
-        process = env.process(release.execute())
-        if expect_raises is not None:
-            with pytest.raises(expect_raises):
-                env.run(until=process)
-        else:
+    for target in release.targets:
+        if isinstance(target, (FakeTarget, FlakyTarget)):
+            target.deployment = observer
+    process = env.process(release.execute())
+    if expect_raises is not None:
+        with pytest.raises(expect_raises):
             env.run(until=process)
-    finally:
-        remove_release_observer(observer)
+    else:
+        env.run(until=process)
     return observer
+
+
+def test_each_owner_hears_once_and_unowned_targets_notify_nobody():
+    env = Environment()
+    first, second = _Observer(), _Observer()
+    targets = _targets(env, 5)
+    for target, owner in zip(targets, (second, first, second, None, first)):
+        target.deployment = owner
+    release = RollingRelease(env, targets,
+                             RollingReleaseConfig(batch_fraction=0.4))
+    env.run(until=env.process(release.execute()))
+    for owner in (first, second):
+        assert owner.begins == [release]
+        assert owner.ends == [release]
 
 
 def test_observer_sees_one_begin_one_end_on_clean_run():

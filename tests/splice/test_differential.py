@@ -24,7 +24,6 @@ import pytest
 from repro.clients.web import WebWorkloadConfig
 from repro.experiments.common import build_deployment
 from repro.invariants import runtime as invariant_runtime
-from repro.perf.differential import reset_id_allocators
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.shard import counters_snapshot
 from repro.splice import SpliceConfig
@@ -53,7 +52,6 @@ def _workload() -> WebWorkloadConfig:
 
 
 def _run(seed: int, splice: bool, release: bool = False):
-    reset_id_allocators()
     deployment = build_deployment(
         seed=seed,
         edge_proxies=3,

@@ -53,9 +53,8 @@ def _traced_run(seed: int) -> str:
 
 
 def test_same_seed_runs_export_byte_identical_json():
-    # Two runs in the same process: the process-global message counters
-    # (HttpRequest.id etc.) have advanced between them, so equality here
-    # proves those ids never leak into the export.
+    # Two runs in the same process, nothing reset in between: equality
+    # proves the second run inherits no state from the first.
     first = _traced_run(5)
     second = _traced_run(5)
     assert first == second
@@ -63,7 +62,8 @@ def test_same_seed_runs_export_byte_identical_json():
     doc = json.loads(first)
     assert doc["traces"], "a traced run must retain traces"
     event_names = {event["name"] for event in doc["events"]}
-    # The release observer and the takeover path both feed the event log.
+    # The deployment's release fan-out and the takeover path both feed
+    # the event log.
     assert "release_begin" in event_names
     assert "takeover_begin" in event_names
 
